@@ -12,19 +12,24 @@ asymptote.  The remaining callables are deliberately cruder comparators
 (single-limit forms and a pseudo-conservation-law split) kept around to
 quantify how much each ingredient of the interpolation buys.
 
-All formulas are closed form; nothing here simulates or iterates.
+All formulas are closed form; nothing here simulates or iterates.  What
+does not depend on the load (the moments, the constants and the
+heavy-traffic delays) is derived once per system and kept in a small memo
+keyed on its queues and discipline, so each estimate costs a few flops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .errors import DegenerateLoad
 from .model import (
     DerivedMoments,
     Discipline,
+    QueueSpec,
     SystemSpec,
     derive_moments,
 )
@@ -34,8 +39,6 @@ __all__ = [
     "InterpolationConstants",
     "WaitingTimeResult",
     "heavy_traffic_delay",
-    "constants_exhaustive",
-    "constants_gated",
     "interpolation_constants",
     "mean_wait_interpolation",
     "mean_wait_lt_only",
@@ -87,6 +90,20 @@ class WaitingTimeResult:
     constants: Optional[tuple[InterpolationConstants, ...]] = None
 
 
+_SIGN = {Discipline.EXHAUSTIVE: -1.0, Discipline.GATED: 1.0}
+
+
+def _heavy_traffic_delays(dm: DerivedMoments, sign: float) -> tuple[float, ...]:
+    # All queues' delays (see heavy_traffic_delay); sign is -1 exhaustive,
+    # +1 gated.
+    if dm.n == 1 and sign < 0.0:
+        return (dm.heavy_traffic_variance / 2.0,)
+    fracs = dm.load_fractions
+    denom = sum(f * (1.0 + sign * f) for f in fracs)
+    scale = dm.heavy_traffic_variance / denom + dm.switchover_mean_total
+    return tuple((1.0 + sign * f) / 2.0 * scale for f in fracs)
+
+
 def heavy_traffic_delay(
     dm: DerivedMoments, queue: int, discipline: Discipline
 ) -> float:
@@ -99,102 +116,149 @@ def heavy_traffic_delay(
     degenerates to 0/0 and is replaced by its limit, half the
     heavy-traffic variance.
     """
-    fracs = dm.load_fractions
-    sigma_sq = dm.heavy_traffic_variance
-    if discipline is Discipline.EXHAUSTIVE:
-        if dm.n == 1:
-            return sigma_sq / 2.0
-        denom = sum(f * (1.0 - f) for f in fracs)
-        return (1.0 - fracs[queue]) / 2.0 * (
-            sigma_sq / denom + dm.switchover_mean_total
-        )
-    denom = sum(f * (1.0 + f) for f in fracs)
-    return (1.0 + fracs[queue]) / 2.0 * (
-        sigma_sq / denom + dm.switchover_mean_total
-    )
+    return _heavy_traffic_delays(dm, _SIGN[discipline])[queue]
 
 
-def _slope_constant_common(dm: DerivedMoments, queue: int) -> float:
-    # Shared part of k1: the density correction, the global service
-    # residual, and the switch-over variance sum weighted by cyclic
-    # load-fraction prefixes starting at `queue`.
+def _interpolation_constants(
+    dm: DerivedMoments, sign: float, delays: tuple[float, ...]
+) -> tuple[InterpolationConstants, ...]:
+    # k1 is the density correction, the global service residual, and the
+    # switch-over variance sum weighted by cyclic load-fraction prefixes
+    # starting at the queue, plus the queue's load share of the switch-over
+    # residual, less the mean total switch-over time under exhaustive
+    # service.  Defining k2 through the heavy-traffic delay makes the scaled
+    # limit k0 + k1 + k2 match it up to the rounding of the larger terms.
     n = dm.n
     fracs = dm.load_fractions
-    value = (
-        fracs[queue]
-        * (dm.density_at_zero[queue] - 1.0)
-        * dm.service_residuals[queue]
-        + dm.service_residual_global
-    )
-    acc = 0.0
-    prefix = 0.0
-    for j in range(n):
-        prefix += fracs[(queue + j) % n]
-        acc += prefix * dm.switchover_vars[(queue + j) % n]
-    return value - acc / dm.switchover_mean_total
-
-
-def constants_exhaustive(
-    dm: DerivedMoments, queue: int
-) -> InterpolationConstants:
-    """Interpolation constants for `queue` under exhaustive service."""
     k0 = dm.switchover_residual
-    k1 = _slope_constant_common(dm, queue) + dm.load_fractions[queue] * (
-        dm.switchover_residual - dm.switchover_mean_total
-    )
-    # Defining k2 through the heavy-traffic delay makes the scaled limit
-    # k0 + k1 + k2 match it exactly, including rounding.
-    k2 = heavy_traffic_delay(dm, queue, Discipline.EXHAUSTIVE) - k0 - k1
-    return InterpolationConstants(queue=queue, k0=k0, k1=k1, k2=k2)
-
-
-def constants_gated(
-    dm: DerivedMoments, queue: int
-) -> InterpolationConstants:
-    """Interpolation constants for `queue` under gated service."""
-    k0 = dm.switchover_residual
-    k1 = (
-        _slope_constant_common(dm, queue)
-        + dm.load_fractions[queue] * dm.switchover_residual
-    )
-    k2 = heavy_traffic_delay(dm, queue, Discipline.GATED) - k0 - k1
-    return InterpolationConstants(queue=queue, k0=k0, k1=k1, k2=k2)
+    gap = (1.0 - sign) / 2.0 * dm.switchover_mean_total
+    constants = []
+    for i in range(n):
+        slope = (
+            fracs[i] * (dm.density_at_zero[i] - 1.0) * dm.service_residuals[i]
+            + dm.service_residual_global
+        )
+        acc = 0.0
+        prefix = 0.0
+        for j in range(n):
+            prefix += fracs[(i + j) % n]
+            acc += prefix * dm.switchover_vars[(i + j) % n]
+        k1 = slope - acc / dm.switchover_mean_total + fracs[i] * (k0 - gap)
+        constants.append(
+            InterpolationConstants(queue=i, k0=k0, k1=k1, k2=delays[i] - k0 - k1)
+        )
+    return tuple(constants)
 
 
 def interpolation_constants(
     dm: DerivedMoments, queue: int, discipline: Discipline
 ) -> InterpolationConstants:
-    """Constants for `queue` under either discipline."""
-    if discipline is Discipline.EXHAUSTIVE:
-        return constants_exhaustive(dm, queue)
-    return constants_gated(dm, queue)
+    """Interpolation constants for `queue` under either discipline."""
+    sign = _SIGN[discipline]
+    delays = _heavy_traffic_delays(dm, sign)
+    return _interpolation_constants(dm, sign, delays)[queue]
 
 
-def _queue_lengths(
-    spec: SystemSpec, waits: tuple[float, ...]
-) -> tuple[float, ...]:
-    # Little's law per queue; the arrival rate at load rho is
-    # rho / mean_interarrival_at_saturation, and a customer occupies the
-    # queue for its waiting plus service time.
-    return tuple(
-        spec.rho * (w + q.mean_service) / q.mean_interarrival_at_saturation
-        for w, q in zip(waits, spec.queues)
-    )
+@dataclass(frozen=True)
+class _System:
+    """The load-free part of every closed form for one system.
+
+    It depends on the queues and the discipline only, so one record serves
+    every load, and each estimator adds a few flops at ``rho``.
+    """
+
+    queues: tuple[QueueSpec, ...]
+    dm: DerivedMoments
+    sign: float  # -1 exhaustive, +1 gated
+    constants: tuple[InterpolationConstants, ...]
+    ht_delays: tuple[float, ...]
+
+    def result(self, method: Method, rho: float) -> WaitingTimeResult:
+        waits = _WAITS[method](self, rho)
+        # Little's law per queue; the arrival rate at load rho is
+        # rho / mean_interarrival_at_saturation, and a customer occupies
+        # the queue for its waiting plus service time.
+        lengths = tuple(
+            rho * (w + q.mean_service) / q.mean_interarrival_at_saturation
+            for w, q in zip(waits, self.queues)
+        )
+        constants = self.constants if method is Method.INTERPOLATION else None
+        return WaitingTimeResult(method, rho, waits, lengths, constants)
+
+    def interpolation(self, rho: float) -> tuple[float, ...]:
+        return tuple(
+            (c.k0 + c.k1 * rho + c.k2 * rho * rho) / (1.0 - rho)
+            for c in self.constants
+        )
+
+    def lt_only(self, rho: float) -> tuple[float, ...]:
+        return tuple((c.k0 + c.k1 * rho) / (1.0 - rho) for c in self.constants)
+
+    def ht_only(self, rho: float) -> tuple[float, ...]:
+        return tuple(d / (1.0 - rho) for d in self.ht_delays)
+
+    def large_s(self, rho: float) -> tuple[float, ...]:
+        total = self.dm.switchover_mean_total
+        return tuple(
+            total * (1.0 + self.sign * rho * f) / (2.0 * (1.0 - rho))
+            for f in self.dm.load_fractions
+        )
+
+    def pcl_rhs(self, rho: float) -> float:
+        dm = self.dm
+        sum_sq = sum((rho * f) * (rho * f) for f in dm.load_fractions)
+        # Gated service adds the work gated behind each queue's own gate.
+        gated = (1.0 + self.sign) / 2.0 * sum_sq * dm.switchover_mean_total
+        return (
+            rho * rho / (1.0 - rho) * dm.service_residual_global
+            + rho * dm.switchover_residual
+            + dm.switchover_mean_total / 2.0 * (rho * rho - sum_sq) / (1.0 - rho)
+            + gated / (1.0 - rho)
+        )
+
+    def pcl_residual(self, rho: float) -> float:
+        weighted = sum(
+            rho * f * w
+            for f, w in zip(self.dm.load_fractions, self.interpolation(rho))
+        )
+        return weighted - self.pcl_rhs(rho)
+
+    def pcl_based(self, rho: float) -> tuple[float, ...]:
+        if rho == 0.0:
+            return (self.dm.switchover_residual,) * self.dm.n
+        loads = tuple(rho * f for f in self.dm.load_fractions)
+        denom = sum(x * (1.0 + self.sign * x) for x in loads)
+        if denom <= 0.0:
+            raise DegenerateLoad(
+                f"load-weighted split denominator is {denom!r} at rho={rho!r}"
+            )
+        cycle_residual = self.pcl_rhs(rho) / denom
+        return tuple((1.0 + self.sign * x) * cycle_residual for x in loads)
 
 
-def _result(
-    spec: SystemSpec,
-    method: Method,
-    waits: tuple[float, ...],
-    constants: Optional[tuple[InterpolationConstants, ...]] = None,
-) -> WaitingTimeResult:
-    return WaitingTimeResult(
-        method=method,
-        rho=spec.rho,
-        mean_wait=waits,
-        mean_queue_length=_queue_lengths(spec, waits),
-        constants=constants,
-    )
+_WAITS = {
+    Method.INTERPOLATION: _System.interpolation,
+    Method.LT_ONLY: _System.lt_only,
+    Method.HT_ONLY: _System.ht_only,
+    Method.LARGE_S: _System.large_s,
+    Method.PCL_BASED: _System.pcl_based,
+}
+
+
+@lru_cache(maxsize=256)
+def _system_of(queues: tuple[QueueSpec, ...], discipline: Discipline) -> _System:
+    # Keyed on the queues themselves, so every QueueSpec field is in the
+    # key.  The record is immutable, so sharing it between callers is safe.
+    dm = derive_moments(SystemSpec(queues, discipline, 0.0))
+    sign = _SIGN[discipline]
+    delays = _heavy_traffic_delays(dm, sign)
+    constants = _interpolation_constants(dm, sign, delays)
+    return _System(queues, dm, sign, constants, delays)
+
+
+def _system(spec: SystemSpec) -> _System:
+    """The memoized load-free record of `spec`'s queues and discipline."""
+    return _system_of(spec.queues, spec.discipline)
 
 
 def mean_wait_interpolation(spec: SystemSpec) -> WaitingTimeResult:
@@ -210,17 +274,7 @@ def mean_wait_interpolation(spec: SystemSpec) -> WaitingTimeResult:
     WaitingTimeResult
         Per-queue means, queue lengths and the constants used.
     """
-    dm = derive_moments(spec)
-    constants = tuple(
-        interpolation_constants(dm, i, spec.discipline)
-        for i in range(spec.n)
-    )
-    rho = spec.rho
-    waits = tuple(
-        (c.k0 + c.k1 * rho + c.k2 * rho * rho) / (1.0 - rho)
-        for c in constants
-    )
-    return _result(spec, Method.INTERPOLATION, waits, constants)
+    return mean_wait(spec, Method.INTERPOLATION)
 
 
 def mean_wait_lt_only(spec: SystemSpec) -> WaitingTimeResult:
@@ -232,24 +286,12 @@ def mean_wait_lt_only(spec: SystemSpec) -> WaitingTimeResult:
     scaled delay.  Coincides with the interpolation whenever ``k2 == 0``
     (e.g. symmetric systems with exponential interarrival times).
     """
-    dm = derive_moments(spec)
-    rho = spec.rho
-    waits = []
-    for i in range(spec.n):
-        c = interpolation_constants(dm, i, spec.discipline)
-        waits.append((c.k0 + c.k1 * rho) / (1.0 - rho))
-    return _result(spec, Method.LT_ONLY, tuple(waits))
+    return mean_wait(spec, Method.LT_ONLY)
 
 
 def mean_wait_ht_only(spec: SystemSpec) -> WaitingTimeResult:
     """Comparator built from the heavy-traffic asymptote alone."""
-    dm = derive_moments(spec)
-    rho = spec.rho
-    waits = tuple(
-        heavy_traffic_delay(dm, i, spec.discipline) / (1.0 - rho)
-        for i in range(spec.n)
-    )
-    return _result(spec, Method.HT_ONLY, waits)
+    return mean_wait(spec, Method.HT_ONLY)
 
 
 def mean_wait_large_s(spec: SystemSpec) -> WaitingTimeResult:
@@ -260,16 +302,7 @@ def mean_wait_large_s(spec: SystemSpec) -> WaitingTimeResult:
     waits about half the cycle, corrected down (exhaustive) or up (gated)
     by its own queue's load.
     """
-    dm = derive_moments(spec)
-    rho = spec.rho
-    sign = -1.0 if spec.discipline is Discipline.EXHAUSTIVE else 1.0
-    waits = tuple(
-        dm.switchover_mean_total
-        * (1.0 + sign * rho * f)
-        / (2.0 * (1.0 - rho))
-        for f in dm.load_fractions
-    )
-    return _result(spec, Method.LARGE_S, waits)
+    return mean_wait(spec, Method.LARGE_S)
 
 
 def pcl_rhs(spec: SystemSpec) -> float:
@@ -279,22 +312,7 @@ def pcl_rhs(spec: SystemSpec) -> float:
     Poisson arrivals equals this closed form, regardless of how the
     waiting times distribute over queues.
     """
-    dm = derive_moments(spec)
-    rho = spec.rho
-    loads = tuple(rho * f for f in dm.load_fractions)
-    sum_sq = sum(x * x for x in loads)
-    value = (
-        rho * rho / (1.0 - rho) * dm.service_residual_global
-        + rho * dm.switchover_residual
-        + dm.switchover_mean_total
-        / 2.0
-        * (rho * rho - sum_sq)
-        / (1.0 - rho)
-    )
-    if spec.discipline is Discipline.GATED:
-        # Work gated behind its own queue's gate adds one more term.
-        value += sum_sq * dm.switchover_mean_total / (1.0 - rho)
-    return value
+    return _system(spec).pcl_rhs(spec.rho)
 
 
 def pcl_residual(spec: SystemSpec) -> float:
@@ -303,13 +321,7 @@ def pcl_residual(spec: SystemSpec) -> float:
     Zero (up to rounding) for Poisson interarrival times; a diagnostic of
     the approximation error otherwise.
     """
-    result = mean_wait_interpolation(spec)
-    dm = derive_moments(spec)
-    weighted = sum(
-        spec.rho * f * w
-        for f, w in zip(dm.load_fractions, result.mean_wait)
-    )
-    return weighted - pcl_rhs(spec)
+    return _system(spec).pcl_residual(spec.rho)
 
 
 def mean_wait_pcl_based(spec: SystemSpec) -> WaitingTimeResult:
@@ -320,32 +332,9 @@ def mean_wait_pcl_based(spec: SystemSpec) -> WaitingTimeResult:
     the split degenerates to 0/0 and is replaced by its continuous limit,
     the mean residual total switch-over time.
     """
-    dm = derive_moments(spec)
-    rho = spec.rho
-    if rho == 0.0:
-        waits = (dm.switchover_residual,) * spec.n
-        return _result(spec, Method.PCL_BASED, waits)
-    sign = -1.0 if spec.discipline is Discipline.EXHAUSTIVE else 1.0
-    loads = tuple(rho * f for f in dm.load_fractions)
-    denom = sum(x * (1.0 + sign * x) for x in loads)
-    if denom <= 0.0:
-        raise DegenerateLoad(
-            f"load-weighted split denominator is {denom!r} at rho={rho!r}"
-        )
-    cycle_residual = pcl_rhs(spec) / denom
-    waits = tuple((1.0 + sign * x) * cycle_residual for x in loads)
-    return _result(spec, Method.PCL_BASED, waits)
-
-
-_METHOD_DISPATCH = {
-    Method.INTERPOLATION: mean_wait_interpolation,
-    Method.LT_ONLY: mean_wait_lt_only,
-    Method.HT_ONLY: mean_wait_ht_only,
-    Method.LARGE_S: mean_wait_large_s,
-    Method.PCL_BASED: mean_wait_pcl_based,
-}
+    return mean_wait(spec, Method.PCL_BASED)
 
 
 def mean_wait(spec: SystemSpec, method: Method) -> WaitingTimeResult:
     """Evaluate any of the estimators by name."""
-    return _METHOD_DISPATCH[method](spec)
+    return _system(spec).result(method, spec.rho)

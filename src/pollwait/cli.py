@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 invalid input, 3 computational budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,9 +29,11 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
-from .approx import (
+# pcl_residual, pcl_rhs and derive_moments are not called here; they stay
+# module attributes because bench/tracer.py wraps them by name.
+from .approx import (  # noqa: F401
     Method,
-    heavy_traffic_delay,
+    _system,
     mean_wait,
     pcl_residual,
     pcl_rhs,
@@ -41,7 +44,7 @@ from .model import (
     Discipline,
     QueueSpec,
     SystemSpec,
-    derive_moments,
+    derive_moments,  # noqa: F401
     scale_to_load,
 )
 from .sim import SimConfig, simulate
@@ -83,9 +86,13 @@ def _reject_constant(_value: str) -> float:
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFileError(f"{label} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SpecFileError(f"{label} is too large for a float") from None
+    if not math.isfinite(number):
         raise SpecFileError(f"{label} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def load_spec_file(
@@ -268,19 +275,17 @@ def _format_float(x: float) -> str:
 def _cmd_analyze(args) -> int:
     spec = _resolve_spec(args, rho=args.rho)
     method = Method(args.method)
-    result = mean_wait(spec, method)
-    dm = derive_moments(spec)
-    delays = [
-        heavy_traffic_delay(dm, i, spec.discipline) for i in range(spec.n)
-    ]
-    residual = pcl_residual(spec)
+    system = _system(spec)
+    result = system.result(method, spec.rho)
+    delays = system.ht_delays
+    residual = system.pcl_residual(spec.rho)
 
     if args.format == "json":
         payload = {
             "method": method.value,
             "discipline": spec.discipline.value,
             "rho": spec.rho,
-            "pcl_rhs": pcl_rhs(spec),
+            "pcl_rhs": system.pcl_rhs(spec.rho),
             "pcl_residual": residual,
             "queues": [],
         }
@@ -347,9 +352,10 @@ def _cmd_sweep(args) -> int:
     methods = _parse_methods(args.methods)
     with_sim = args.with_sim or (args.preset is not None and not args.no_sim)
 
+    base = _resolve_spec(args, rho=grid[0])
     lines = ["rho,queue,method,mean_wait,ci_half_width"]
     for rho in grid:
-        spec = _resolve_spec(args, rho=rho)
+        spec = scale_to_load(base, rho)
         for method in methods:
             result = mean_wait(spec, method)
             for i in range(spec.n):
@@ -460,6 +466,7 @@ def _cmd_demo_spec(args) -> int:
     return _EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pollwait",

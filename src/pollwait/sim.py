@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtrit
 
 from .errors import NumericalBudget, ZeroLoad
 from .fitting import (
@@ -346,7 +346,7 @@ def simulate(
         means = all_batch_means[i]
         if len(means) >= 2:
             spread = float(np.std(means, ddof=1))
-            quantile = float(_student_t.ppf(0.975, len(means) - 1))
+            quantile = float(stdtrit(len(means) - 1, 0.975))
             half_widths.append(quantile * spread / math.sqrt(len(means)))
         else:
             half_widths.append(math.inf)
@@ -357,7 +357,7 @@ def simulate(
     if cfg.replications >= 2:
         per_rep = [b / s for b, s in zip(busy_values, span_values)]
         spread = float(np.std(per_rep, ddof=1))
-        quantile = float(_student_t.ppf(0.975, cfg.replications - 1))
+        quantile = float(stdtrit(cfg.replications - 1, 0.975))
         load_half_width = quantile * spread / math.sqrt(cfg.replications)
     else:
         load_half_width = math.nan

@@ -2,11 +2,27 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from pollwait import Discipline, Method, mean_wait, three_queue_demo_spec
-from pollwait.cli import load_spec_file, main, spec_to_dict
+import pollwait
+from pollwait import (
+    Discipline,
+    Method,
+    mean_wait,
+    scale_to_load,
+    three_queue_demo_spec,
+)
+from pollwait.cli import (
+    _format_float,
+    _parse_rho_grid,
+    load_spec_file,
+    main,
+    spec_to_dict,
+)
 
 
 def run(capsys, *argv):
@@ -177,6 +193,20 @@ def test_spec_file_rejects_nan_literal(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("field", ["mean_switchover", "rho"])
+def test_spec_file_rejects_huge_integer(capsys, tmp_path, field):
+    # A 400-digit literal parses as a Python int that no float can hold.
+    data = demo_dict()
+    target = data["queues"][0] if field == "mean_switchover" else data
+    target[field] = 10**400
+    path = write_spec(tmp_path, data)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
 
 
 def test_spec_file_rejects_malformed_json(capsys, tmp_path):
@@ -390,3 +420,76 @@ def test_testbed_sampled_run(capsys, tmp_path):
     assert "raw_records.csv" in names
     assert "summary.txt" in names
     assert "errors_binned_interpolation.txt" in names
+
+
+def test_sweep_rows_equal_direct_estimates(capsys, tmp_path):
+    path = write_spec(tmp_path, demo_dict())
+    spec = load_spec_file(path)
+    grid = "0.05:0.95:0.15"
+    methods = list(Method)
+    code, out, _ = run(
+        capsys,
+        "sweep",
+        path,
+        "--rho-grid",
+        grid,
+        "--methods",
+        ",".join(m.value for m in methods),
+    )
+    assert code == 0
+    rows = iter(out.strip().split("\n")[1:])
+    for rho in _parse_rho_grid(grid):
+        for method in methods:
+            waits = mean_wait(scale_to_load(spec, rho), method).mean_wait
+            for i, wait in enumerate(waits):
+                expected = (
+                    f"{_format_float(rho)},{i},{method.value},"
+                    f"{_format_float(wait)},"
+                )
+                assert next(rows) == expected
+    assert next(rows, None) is None
+
+
+def _fresh_main(argv):
+    """`main(argv)` in a new interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pollwait.__file__))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from pollwait.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv,
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path):
+    good = write_spec(tmp_path, demo_dict(0.4))
+    broken = demo_dict()
+    broken["queues"][1]["mean_switchover"] = -1.0
+    bad = write_spec(tmp_path, broken, name="bad.json")
+    calls = [
+        ["analyze", good, "--format", "json"],
+        ["analyze", bad],
+        ["analyze", good, "--method", "bogus"],
+        ["sweep", good, "--rho-grid", "0.1:0.5:0.2", "--methods", "large-s,pcl-based"],
+        ["analyze", good, "--rho", "0.7", "--discipline", "gated", "--format", "csv"],
+        ["analyze", good, "--format", "json"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [r[0] for r in in_process] == [0, 2, 2, 0, 0, 0]
+    assert in_process[-1] == in_process[0]
+    assert in_process == [_fresh_main(argv) for argv in calls]

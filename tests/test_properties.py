@@ -1,0 +1,202 @@
+"""Property tests of the closed forms over random valid systems.
+
+The estimators read one memoized, load-free record per system, keyed on
+its queues and discipline.  Besides the estimator identities, these tests
+check that the memo never hands one system's record to another: a spec
+that differs in any field the formulas read must give what a fresh
+computation gives, and a spec rebuilt field by field must give the same
+output as the original.
+
+Examples are drawn deterministically (``derandomize=True``), so the suite
+runs the same cases every time.
+"""
+
+import dataclasses
+import math
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from pollwait import (
+    DensityMode,
+    Discipline,
+    Method,
+    QueueSpec,
+    SystemSpec,
+    derive_moments,
+    exact_density_mode,
+    heavy_traffic_delay,
+    interpolation_constants,
+    mean_wait,
+    pcl_residual,
+    pcl_rhs,
+)
+from pollwait.approx import _system_of
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _density_modes(scv_interarrival):
+    modes = [DensityMode.TWO_MOMENT_APPROX, DensityMode.USER_VALUE]
+    if scv_interarrival > 0.0:
+        modes.append(exact_density_mode(scv_interarrival))
+    return modes
+
+
+@st.composite
+def systems(draw, poisson=False):
+    """A valid system of 1-6 queues whose density modes fit their scv."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    queues = []
+    for w in weights:
+        mean_service = draw(st.floats(0.1, 10.0))
+        if poisson:
+            scv_a = 1.0
+            modes = [DensityMode.TWO_MOMENT_APPROX, DensityMode.EXACT_EXPONENTIAL]
+        else:
+            scv_a = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 5.0))
+            modes = _density_modes(scv_a)
+        mode = draw(st.sampled_from(modes))
+        value = (
+            draw(st.floats(0.0, 2.0)) if mode is DensityMode.USER_VALUE else None
+        )
+        queues.append(
+            QueueSpec(
+                mean_service=mean_service,
+                scv_service=draw(st.floats(0.0, 4.0)),
+                mean_interarrival_at_saturation=mean_service * total / w,
+                scv_interarrival=scv_a,
+                mean_switchover=draw(st.just(0.0) | st.floats(0.1, 5.0)),
+                scv_switchover=draw(st.floats(0.0, 4.0)),
+                density_mode=mode,
+                density_value=value,
+            )
+        )
+    assume(any(q.mean_switchover > 0.0 for q in queues))
+    return SystemSpec(
+        queues=tuple(queues),
+        discipline=draw(st.sampled_from(list(Discipline))),
+        rho=draw(st.floats(0.1, 0.9)),
+    )
+
+
+def _outputs(spec):
+    return (
+        tuple(mean_wait(spec, m) for m in Method),
+        pcl_rhs(spec),
+        pcl_residual(spec),
+    )
+
+
+def _fresh_outputs(spec):
+    _system_of.cache_clear()
+    return _outputs(spec)
+
+
+def _perturbations(queue):
+    """Copies of `queue` that each change one field the formulas read.
+
+    The two means move by 1e-10 relative, which keeps the load fractions
+    within the tolerance of summing to one.
+    """
+    replace = dataclasses.replace
+    nudge = 1.0 + 1e-10
+    out = [
+        replace(queue, mean_service=queue.mean_service * nudge),
+        replace(
+            queue,
+            mean_interarrival_at_saturation=queue.mean_interarrival_at_saturation
+            * nudge,
+        ),
+        replace(queue, scv_service=queue.scv_service + 0.5),
+        replace(queue, mean_switchover=queue.mean_switchover + 0.5),
+    ]
+    if queue.mean_switchover > 0.0:
+        out.append(replace(queue, scv_switchover=queue.scv_switchover + 0.5))
+    mode = queue.density_mode
+    if mode is DensityMode.EXACT_MIXED_ERLANG:
+        out.append(replace(queue, scv_interarrival=queue.scv_interarrival / 2.0))
+    elif mode is not DensityMode.EXACT_EXPONENTIAL:
+        out.append(replace(queue, scv_interarrival=queue.scv_interarrival + 0.5))
+    if mode is DensityMode.USER_VALUE:
+        out.append(replace(queue, density_value=queue.density_value + 0.25))
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(systems())
+def test_constants_sum_to_the_heavy_traffic_delay(spec):
+    dm = derive_moments(spec)
+    constants = mean_wait(spec, Method.INTERPOLATION).constants
+    for i in range(spec.n):
+        c = interpolation_constants(dm, i, spec.discipline)
+        omega = heavy_traffic_delay(dm, i, spec.discipline)
+        # k2 is omega - k0 - k1, so the sum carries the rounding of the
+        # larger terms: a near-deterministic single queue has omega ~ 0
+        # next to k0 = -k1 = 1/2.
+        scale = max(abs(c.k0), abs(c.k1), abs(omega))
+        assert math.isclose(c.k0 + c.k1 + c.k2, omega, rel_tol=1e-12, abs_tol=1e-12 * scale)
+        assert constants[i] == c
+
+
+@PROPERTY_SETTINGS
+@given(systems(poisson=True))
+def test_pcl_residual_vanishes_for_poisson_arrivals(spec):
+    assert abs(pcl_residual(spec)) <= 1e-9 * max(1.0, pcl_rhs(spec))
+
+
+@PROPERTY_SETTINGS
+@given(systems(), st.data())
+def test_memo_tells_apart_specs_that_differ_in_one_input(spec, data):
+    before = _outputs(spec)
+    i = data.draw(st.integers(0, spec.n - 1))
+    other = next(d for d in Discipline if d is not spec.discipline)
+    variants = [dataclasses.replace(spec, discipline=other)] + [
+        dataclasses.replace(
+            spec, queues=spec.queues[:i] + (queue,) + spec.queues[i + 1 :]
+        )
+        for queue in _perturbations(spec.queues[i])
+    ]
+    for changed in variants:
+        after = _outputs(changed)
+        assert after != before
+        assert after == _fresh_outputs(changed)
+        _outputs(spec)  # the memo holds the original again
+
+
+@PROPERTY_SETTINGS
+@given(systems(), st.data())
+def test_memo_tells_apart_density_modes(spec, data):
+    i = data.draw(st.integers(0, spec.n - 1))
+    queue = spec.queues[i]
+    _outputs(spec)
+    for mode in _density_modes(queue.scv_interarrival):
+        value = 0.5 if mode is DensityMode.USER_VALUE else None
+        swapped = dataclasses.replace(queue, density_mode=mode, density_value=value)
+        queues = spec.queues[:i] + (swapped,) + spec.queues[i + 1 :]
+        changed = dataclasses.replace(spec, queues=queues)
+        assert _outputs(changed) == _fresh_outputs(changed)
+
+
+@PROPERTY_SETTINGS
+@given(systems(), st.sampled_from(list(Discipline)))
+def test_rebuilt_spec_gives_identical_output(spec, discipline):
+    spec = dataclasses.replace(spec, discipline=discipline)
+    rebuilt = SystemSpec(
+        queues=tuple(
+            QueueSpec(**{f.name: getattr(q, f.name) for f in dataclasses.fields(q)})
+            for q in spec.queues
+        ),
+        discipline=spec.discipline,
+        rho=spec.rho,
+    )
+    assert rebuilt.queues is not spec.queues
+    assert _outputs(rebuilt) == _outputs(spec) == _fresh_outputs(rebuilt)

@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulator."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -333,3 +335,17 @@ def test_single_replication_load_interval_is_nan():
     )
     assert math.isnan(estimate.realized_load_ci_half_width)
     assert 0.3 < estimate.realized_load < 0.5
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # The t quantile comes from scipy.special; scipy.stats alone would
+    # add most of the package's import time and memory.
+    code = "import sys, pollwait; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out.strip() == "False"
