@@ -6,6 +6,8 @@ exhaustive or gated service, plus a discrete-event simulator and a grid
 runner to validate them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .approx import (
     InterpolationConstants,
     Method,
@@ -69,59 +71,9 @@ from .testbed import (
 
 __version__ = "0.1.0"
 
+# Every name imported above is public, and so is the version.
 __all__ = [
-    "Discipline",
-    "DensityMode",
-    "QueueSpec",
-    "SystemSpec",
-    "DerivedMoments",
-    "derive_moments",
-    "scale_to_load",
-    "exact_density_mode",
-    "DistKind",
-    "FittedDistribution",
-    "fit_two_moments",
-    "realized_moments",
-    "density_at_zero",
-    "density_at_zero_two_moment_approx",
-    "sample",
-    "sample_array",
-    "Method",
-    "InterpolationConstants",
-    "WaitingTimeResult",
-    "interpolation_constants",
-    "heavy_traffic_delay",
-    "mean_wait",
-    "mean_wait_interpolation",
-    "mean_wait_lt_only",
-    "mean_wait_ht_only",
-    "mean_wait_large_s",
-    "mean_wait_pcl_based",
-    "pcl_rhs",
-    "pcl_residual",
-    "SimConfig",
-    "SimEstimate",
-    "SimEvent",
-    "simulate",
-    "TestBedCase",
-    "ErrorRecord",
-    "ErrorReport",
-    "standard_bed",
-    "poisson_bed",
-    "sampled_bed",
-    "materialize_case",
-    "is_exact_case",
-    "detect_exact_cases",
-    "run_comparison",
-    "three_queue_demo_spec",
-    "PollingModelError",
-    "InvalidMoment",
-    "LoadOutOfRange",
-    "UnnormalizedLoads",
-    "ZeroTotalSwitchover",
-    "ZeroLoad",
-    "DegenerateLoad",
-    "NumericalBudget",
-    "SpecFileError",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -21,12 +21,14 @@ Exit codes: 0 success, 2 invalid input, 3 computational budget exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from enum import Enum
 from typing import Optional, Sequence
 
 # pcl_residual, pcl_rhs and derive_moments are not called here; they stay
@@ -63,15 +65,14 @@ from .testbed import (
 SCHEMA_VERSION = "v1"
 
 _TOP_LEVEL_KEYS = {"version", "discipline", "rho", "queues"}
-_QUEUE_REQUIRED = {
-    "mean_service",
-    "scv_service",
-    "mean_interarrival_at_saturation",
-    "scv_interarrival",
-    "mean_switchover",
-    "scv_switchover",
-}
-_QUEUE_OPTIONAL = {"density_mode", "density_value"}
+# A queue entry holds the fields of QueueSpec; those without a default
+# are required, and are checked in field order.
+_QUEUE_KEYS = {f.name for f in dataclasses.fields(QueueSpec)}
+_QUEUE_REQUIRED = [
+    f.name
+    for f in dataclasses.fields(QueueSpec)
+    if f.default is dataclasses.MISSING
+]
 
 _EXIT_OK = 0
 _EXIT_INVALID = 2
@@ -93,6 +94,15 @@ def _number(value, label: str) -> float:
     if not math.isfinite(number):
         raise SpecFileError(f"{label} must be finite, got {value!r}")
     return number
+
+
+def _choice(kind: type[Enum], value, label: str) -> Enum:
+    try:
+        return kind(value)
+    except ValueError:
+        raise SpecFileError(
+            f"{label} must be one of {[m.value for m in kind]}, got {value!r}"
+        ) from None
 
 
 def load_spec_file(
@@ -123,14 +133,9 @@ def load_spec_file(
         )
 
     if discipline is None:
-        raw = data.get("discipline")
-        try:
-            discipline = Discipline(raw)
-        except ValueError:
-            raise SpecFileError(
-                f"{path}: discipline must be one of "
-                f"{[d.value for d in Discipline]}, got {raw!r}"
-            ) from None
+        discipline = _choice(
+            Discipline, data.get("discipline"), f"{path}: discipline"
+        )
 
     if rho is None:
         if "rho" not in data:
@@ -147,12 +152,12 @@ def load_spec_file(
         label = f"queues[{pos}]"
         if not isinstance(entry, dict):
             raise SpecFileError(f"{path}: {label} must be an object")
-        unknown = set(entry) - _QUEUE_REQUIRED - _QUEUE_OPTIONAL
+        unknown = set(entry) - _QUEUE_KEYS
         if unknown:
             raise SpecFileError(
                 f"{path}: {label} has unknown fields {sorted(unknown)}"
             )
-        missing = _QUEUE_REQUIRED - set(entry)
+        missing = [key for key in _QUEUE_REQUIRED if key not in entry]
         if missing:
             raise SpecFileError(
                 f"{path}: {label} is missing fields {sorted(missing)}"
@@ -161,39 +166,30 @@ def load_spec_file(
             key: _number(entry[key], f"{label}.{key}")
             for key in _QUEUE_REQUIRED
         }
-        mode_raw = entry.get("density_mode", DensityMode.TWO_MOMENT_APPROX.value)
-        try:
-            mode = DensityMode(mode_raw)
-        except ValueError:
-            raise SpecFileError(
-                f"{path}: {label}.density_mode must be one of "
-                f"{[m.value for m in DensityMode]}, got {mode_raw!r}"
-            ) from None
-        value = entry.get("density_value")
-        if value is not None:
-            value = _number(value, f"{label}.density_value")
-        queues.append(
-            QueueSpec(density_mode=mode, density_value=value, **kwargs)
-        )
+        if "density_mode" in entry:
+            kwargs["density_mode"] = _choice(
+                DensityMode,
+                entry["density_mode"],
+                f"{path}: {label}.density_mode",
+            )
+        if entry.get("density_value") is not None:
+            kwargs["density_value"] = _number(
+                entry["density_value"], f"{label}.density_value"
+            )
+        queues.append(QueueSpec(**kwargs))
     return SystemSpec(queues=tuple(queues), discipline=discipline, rho=rho)
 
 
 def spec_to_dict(spec: SystemSpec) -> dict:
     """JSON-serializable v1 form of a system description."""
-    queues = []
-    for q in spec.queues:
-        entry = {
-            "mean_service": q.mean_service,
-            "scv_service": q.scv_service,
-            "mean_interarrival_at_saturation": q.mean_interarrival_at_saturation,
-            "scv_interarrival": q.scv_interarrival,
-            "mean_switchover": q.mean_switchover,
-            "scv_switchover": q.scv_switchover,
-            "density_mode": q.density_mode.value,
+    queues = [
+        {
+            key: value.value if isinstance(value, Enum) else value
+            for key, value in dataclasses.asdict(q).items()
+            if value is not None
         }
-        if q.density_value is not None:
-            entry["density_value"] = q.density_value
-        queues.append(entry)
+        for q in spec.queues
+    ]
     return {
         "version": SCHEMA_VERSION,
         "discipline": spec.discipline.value,
@@ -272,78 +268,66 @@ def _format_float(x: float) -> str:
     return f"{x:.10g}"
 
 
+# Columns of the per-queue analyze table: name, text header, text width.
+# Only methods with interpolation constants fill k0, k1 and k2.
+_ANALYZE_COLUMNS = (
+    ("mean_wait", "mean_wait", 14),
+    ("mean_queue_length", "queue_length", 14),
+    ("heavy_traffic_delay", "ht_delay", 14),
+    ("k0", "k0", 12),
+    ("k1", "k1", 12),
+    ("k2", "k2", 12),
+)
+
+
 def _cmd_analyze(args) -> int:
     spec = _resolve_spec(args, rho=args.rho)
     method = Method(args.method)
     system = _system(spec)
     result = system.result(method, spec.rho)
-    delays = system.ht_delays
     residual = system.pcl_residual(spec.rho)
+    rows = [
+        [result.mean_wait[i], result.mean_queue_length[i], system.ht_delays[i]]
+        for i in range(spec.n)
+    ]
+    for row, c in zip(rows, result.constants or ()):
+        row += [c.k0, c.k1, c.k2]
+    names = [name for name, _, _ in _ANALYZE_COLUMNS]
 
     if args.format == "json":
+        queues = []
+        for i, row in enumerate(rows):
+            entry = {"queue": i, **dict(zip(names[:3], row))}
+            if row[3:]:
+                entry["constants"] = dict(zip(names[3:], row[3:]))
+            queues.append(entry)
         payload = {
             "method": method.value,
             "discipline": spec.discipline.value,
             "rho": spec.rho,
             "pcl_rhs": system.pcl_rhs(spec.rho),
             "pcl_residual": residual,
-            "queues": [],
+            "queues": queues,
         }
-        for i in range(spec.n):
-            entry = {
-                "queue": i,
-                "mean_wait": result.mean_wait[i],
-                "mean_queue_length": result.mean_queue_length[i],
-                "heavy_traffic_delay": delays[i],
-            }
-            if result.constants is not None:
-                c = result.constants[i]
-                entry["constants"] = {"k0": c.k0, "k1": c.k1, "k2": c.k2}
-            payload["queues"].append(entry)
         print(json.dumps(payload, indent=2))
-        return _EXIT_OK
-
-    if args.format == "csv":
+    elif args.format == "csv":
+        print(",".join(["queue", *names]))
+        for i, row in enumerate(rows):
+            cells = [_format_float(v) for v in row]
+            cells += [""] * (len(names) - len(row))
+            print(",".join([str(i), *cells]))
+    else:
+        columns = _ANALYZE_COLUMNS[: len(rows[0])]
         print(
-            "queue,mean_wait,mean_queue_length,heavy_traffic_delay,k0,k1,k2"
+            f"method: {method.value}   discipline: {spec.discipline.value}"
+            f"   rho: {_format_float(spec.rho)}"
         )
-        for i in range(spec.n):
-            cells = [
-                str(i),
-                _format_float(result.mean_wait[i]),
-                _format_float(result.mean_queue_length[i]),
-                _format_float(delays[i]),
-            ]
-            if result.constants is not None:
-                c = result.constants[i]
-                cells += [
-                    _format_float(c.k0),
-                    _format_float(c.k1),
-                    _format_float(c.k2),
-                ]
-            else:
-                cells += ["", "", ""]
-            print(",".join(cells))
-        return _EXIT_OK
-
-    print(
-        f"method: {method.value}   discipline: {spec.discipline.value}"
-        f"   rho: {_format_float(spec.rho)}"
-    )
-    header = f"{'queue':>5}  {'mean_wait':>14}  {'queue_length':>14}  {'ht_delay':>14}"
-    if result.constants is not None:
-        header += f"  {'k0':>12}  {'k1':>12}  {'k2':>12}"
-    print(header)
-    for i in range(spec.n):
-        line = (
-            f"{i:>5}  {result.mean_wait[i]:>14.6f}"
-            f"  {result.mean_queue_length[i]:>14.6f}  {delays[i]:>14.6f}"
-        )
-        if result.constants is not None:
-            c = result.constants[i]
-            line += f"  {c.k0:>12.6f}  {c.k1:>12.6f}  {c.k2:>12.6f}"
-        print(line)
-    print(f"pcl_residual: {residual:.6e}")
+        header = [f"{'queue':>5}"] + [f"{h:>{w}}" for _, h, w in columns]
+        print("  ".join(header))
+        for i, row in enumerate(rows):
+            cells = [f"{v:>{w}.6f}" for v, (_, _, w) in zip(row, columns)]
+            print("  ".join([f"{i:>5}", *cells]))
+        print(f"pcl_residual: {residual:.6e}")
     return _EXIT_OK
 
 
@@ -399,24 +383,15 @@ def _cmd_simulate(args) -> int:
         max_events=args.max_events,
     )
     est = simulate(spec, cfg)
+    config = dataclasses.asdict(cfg)
+    del config["max_events"]
+    estimates = dataclasses.asdict(est)
+    del estimates["replications"]  # already in the config
     payload = {
         "discipline": spec.discipline.value,
         "rho": spec.rho,
-        "config": {
-            "warmup_cycles": cfg.warmup_cycles,
-            "measured_cycles": cfg.measured_cycles,
-            "replications": cfg.replications,
-            "base_seed": cfg.base_seed,
-            "batch_count": cfg.batch_count,
-        },
-        "mean_wait": list(est.mean_wait),
-        "ci_half_width": list(est.ci_half_width),
-        "mean_queue_length": list(est.mean_queue_length),
-        "realized_load": est.realized_load,
-        "realized_load_ci_half_width": est.realized_load_ci_half_width,
-        "samples": est.samples,
-        "samples_per_queue": list(est.samples_per_queue),
-        "total_events": est.total_events,
+        "config": config,
+        **estimates,
     }
     print(json.dumps(payload, indent=2))
     return _EXIT_OK

@@ -311,7 +311,28 @@ def derive_moments(spec: SystemSpec) -> DerivedMoments:
     Returns
     -------
     DerivedMoments
+
+    Raises
+    ------
+    InvalidMoment
+        If a moment aggregate overflows a float.
     """
+    try:
+        dm = _derive_moments(spec)
+    except OverflowError:  # ``**`` raises; a product overflows to inf
+        dm = None
+    # The aggregates are non-negative: their sum is finite only if each is.
+    if dm is None or not math.isfinite(
+        dm.switchover_residual
+        + dm.service_residual_global
+        + dm.heavy_traffic_variance
+        + sum(dm.service_residuals)
+    ):
+        raise InvalidMoment("moment aggregates overflow a float")
+    return dm
+
+
+def _derive_moments(spec: SystemSpec) -> DerivedMoments:
     queues = spec.queues
     load_fractions = tuple(q.load_fraction for q in queues)
     rates = tuple(1.0 / q.mean_interarrival_at_saturation for q in queues)

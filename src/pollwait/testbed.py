@@ -15,12 +15,19 @@ count.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import dataclasses
+import functools
+import itertools
 import math
+import operator
 import os
+import typing
 from dataclasses import dataclass
+from enum import Enum
 from multiprocessing import Pool
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,14 +63,6 @@ __all__ = [
     "three_queue_demo_spec",
     "two_queue_small_switchover_spec",
 ]
-
-STANDARD_QUEUE_COUNTS = (2, 3, 4, 5)
-STANDARD_LOADS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
-STANDARD_SCV_INTERARRIVAL = (0.25, 1.0, 2.0)
-STANDARD_SCV_SERVICE = (0.25, 1.0)
-STANDARD_SCV_SWITCHOVER = (0.25, 1.0)
-STANDARD_IMBALANCE = (1.0, 5.0)
-STANDARD_RATIO = (1.0, 5.0)
 
 # Tolerance for the two-queue load constraint that makes an imbalanced
 # Poisson case exact.
@@ -107,30 +106,48 @@ class TestBedCase:
             raise InvalidMoment("switchover_service_ratio must be positive")
 
 
+# Each grid maps every field of TestBedCase to the values it takes.  The
+# cases are their product in field order, the last field varying fastest.
+_STANDARD_AXES = {
+    "n_queues": (2, 3, 4, 5),
+    "rho": (0.1, 0.3, 0.5, 0.7, 0.9, 0.99),
+    "scv_interarrival": (0.25, 1.0, 2.0),
+    "scv_service": (0.25, 1.0),
+    "scv_switchover": (0.25, 1.0),
+    "imbalance_interarrival": (1.0, 5.0),
+    "imbalance_service": (1.0, 5.0),
+    "switchover_service_ratio": (1.0, 5.0),
+}
+
+_HIGH_VARIATION_AXES = {
+    **_STANDARD_AXES,
+    "scv_interarrival": (1.0,),
+    "scv_service": (2.0, 5.0),
+    "scv_switchover": (2.0, 5.0),
+}
+
+_SAMPLED_AXES = {
+    **_STANDARD_AXES,
+    "rho": (0.1, 0.3, 0.5, 0.7, 0.9),
+    "scv_interarrival": (0.25, 2.0),
+    "scv_switchover": (1.0,),
+    "imbalance_interarrival": (5.0,),
+    "imbalance_service": (1.0,),
+    "switchover_service_ratio": (1.0,),
+}
+
+
+def _grid(axes: dict[str, tuple]) -> list[TestBedCase]:
+    names = [f.name for f in dataclasses.fields(TestBedCase)]
+    return [
+        TestBedCase(*values)
+        for values in itertools.product(*(axes[name] for name in names))
+    ]
+
+
 def standard_bed() -> list[TestBedCase]:
     """All 2304 cases of the standard grid, in lexicographic order."""
-    cases = []
-    for n in STANDARD_QUEUE_COUNTS:
-        for rho in STANDARD_LOADS:
-            for scv_a in STANDARD_SCV_INTERARRIVAL:
-                for scv_b in STANDARD_SCV_SERVICE:
-                    for scv_s in STANDARD_SCV_SWITCHOVER:
-                        for imb_a in STANDARD_IMBALANCE:
-                            for imb_b in STANDARD_IMBALANCE:
-                                for ratio in STANDARD_RATIO:
-                                    cases.append(
-                                        TestBedCase(
-                                            n_queues=n,
-                                            rho=rho,
-                                            scv_interarrival=scv_a,
-                                            scv_service=scv_b,
-                                            scv_switchover=scv_s,
-                                            imbalance_interarrival=imb_a,
-                                            imbalance_service=imb_b,
-                                            switchover_service_ratio=ratio,
-                                        )
-                                    )
-    return cases
+    return _grid(_STANDARD_AXES)
 
 
 def poisson_bed() -> list[TestBedCase]:
@@ -144,27 +161,7 @@ def high_variation_poisson_bed() -> list[TestBedCase]:
     Same shape as the standard grid otherwise; 768 cases probing how the
     estimators degrade under very variable service and switch-over times.
     """
-    cases = []
-    for n in STANDARD_QUEUE_COUNTS:
-        for rho in STANDARD_LOADS:
-            for scv_b in (2.0, 5.0):
-                for scv_s in (2.0, 5.0):
-                    for imb_a in STANDARD_IMBALANCE:
-                        for imb_b in STANDARD_IMBALANCE:
-                            for ratio in STANDARD_RATIO:
-                                cases.append(
-                                    TestBedCase(
-                                        n_queues=n,
-                                        rho=rho,
-                                        scv_interarrival=1.0,
-                                        scv_service=scv_b,
-                                        scv_switchover=scv_s,
-                                        imbalance_interarrival=imb_a,
-                                        imbalance_service=imb_b,
-                                        switchover_service_ratio=ratio,
-                                    )
-                                )
-    return cases
+    return _grid(_HIGH_VARIATION_AXES)
 
 
 def sampled_bed() -> list[TestBedCase]:
@@ -174,24 +171,7 @@ def sampled_bed() -> list[TestBedCase]:
     scvs and both service scvs, with rate imbalance fixed at 5 to keep the
     hard asymmetric regime represented.  80 cases.
     """
-    cases = []
-    for n in STANDARD_QUEUE_COUNTS:
-        for rho in (0.1, 0.3, 0.5, 0.7, 0.9):
-            for scv_a in (0.25, 2.0):
-                for scv_b in STANDARD_SCV_SERVICE:
-                    cases.append(
-                        TestBedCase(
-                            n_queues=n,
-                            rho=rho,
-                            scv_interarrival=scv_a,
-                            scv_service=scv_b,
-                            scv_switchover=1.0,
-                            imbalance_interarrival=5.0,
-                            imbalance_service=1.0,
-                            switchover_service_ratio=1.0,
-                        )
-                    )
-    return cases
+    return _grid(_SAMPLED_AXES)
 
 
 def _linear_rates(n: int, imbalance: float) -> list[float]:
@@ -342,12 +322,7 @@ def bin_table(
         errors = by_n[n]
         counts = [0] * (len(_BIN_EDGES) + 1)
         for e in errors:
-            for k, edge in enumerate(_BIN_EDGES):
-                if e < edge:
-                    counts[k] += 1
-                    break
-            else:
-                counts[-1] += 1
+            counts[bisect.bisect_right(_BIN_EDGES, e)] += 1
         table[n] = tuple(100.0 * c / len(errors) for c in counts)
     return table
 
@@ -375,14 +350,14 @@ FACETS: dict[str, Callable[[TestBedCase], object]] = {
 }
 
 
+# Run-length controls of an automatically sized case.
+AUTO_BATCH_COUNT = 20
+AUTO_MAX_CYCLES = 200_000
+MAX_EVENTS_PER_CASE = 2_000_000_000
+
+
 def _auto_config(
-    spec: SystemSpec,
-    seed: int,
-    target_customers: int,
-    replications: int,
-    batch_count: int,
-    max_cycles: int,
-    max_events: int,
+    spec: SystemSpec, seed: int, target_customers: int, replications: int
 ) -> SimConfig:
     # Size the run so the pooled sample count lands near the target, with
     # a floor that keeps batches meaningful and a cap on cycle count for
@@ -393,15 +368,15 @@ def _auto_config(
     total_switch = sum(q.mean_switchover for q in spec.queues)
     per_cycle = arrival_rate * total_switch / (1.0 - spec.rho)
     wanted = target_customers / replications / max(per_cycle, 1e-12)
-    cycles = int(min(max(wanted, 100 * batch_count), max_cycles))
+    cycles = int(min(max(wanted, 100 * AUTO_BATCH_COUNT), AUTO_MAX_CYCLES))
     warmup = max(1000, cycles // 5)
     return SimConfig(
         warmup_cycles=warmup,
         measured_cycles=cycles,
         replications=replications,
         base_seed=seed,
-        batch_count=batch_count,
-        max_events=max_events,
+        batch_count=AUTO_BATCH_COUNT,
+        max_events=MAX_EVENTS_PER_CASE,
     )
 
 
@@ -412,39 +387,23 @@ def _case_seed(base_seed: int, index: int) -> int:
     return int(state[0])
 
 
-def _run_case(payload) -> list[ErrorRecord]:
-    (
-        index,
-        case,
-        discipline,
-        methods,
-        cfg,
-        seed,
-        target_customers,
-        replications,
-        ci_rel_threshold,
-        max_events,
-    ) = payload
+def _run_case(
+    discipline: Discipline,
+    methods: tuple[Method, ...],
+    cfg: Optional[SimConfig],
+    base_seed: int,
+    target_customers: int,
+    replications: int,
+    ci_rel_threshold: float,
+    indexed_case: tuple[int, TestBedCase],
+) -> list[ErrorRecord]:
+    index, case = indexed_case
+    seed = _case_seed(base_seed, index)
     spec = materialize_case(case, discipline)
     if cfg is None:
-        cfg = _auto_config(
-            spec,
-            seed,
-            target_customers,
-            replications,
-            batch_count=20,
-            max_cycles=200_000,
-            max_events=max_events,
-        )
+        cfg = _auto_config(spec, seed, target_customers, replications)
     else:
-        cfg = SimConfig(
-            warmup_cycles=cfg.warmup_cycles,
-            measured_cycles=cfg.measured_cycles,
-            replications=cfg.replications,
-            base_seed=seed,
-            batch_count=cfg.batch_count,
-            max_events=cfg.max_events,
-        )
+        cfg = dataclasses.replace(cfg, base_seed=seed)
     estimate = simulate(spec, cfg)
     records = []
     for method in methods:
@@ -495,7 +454,6 @@ def run_comparison(
     target_customers: int = 400_000,
     replications: int = 3,
     ci_rel_threshold: float = 0.05,
-    max_events_per_case: int = 2_000_000_000,
     oracle: str = "simulation",
 ) -> ErrorReport:
     """Simulate `cases` and score `methods` against the estimates.
@@ -525,155 +483,144 @@ def run_comparison(
     if oracle != "simulation":
         raise ValueError(f"unsupported oracle {oracle!r}")
     methods = tuple(methods)
-    payloads = [
-        (
-            index,
-            case,
-            discipline,
-            methods,
-            cfg,
-            _case_seed(base_seed, index),
-            target_customers,
-            replications,
-            ci_rel_threshold,
-            max_events_per_case,
-        )
-        for index, case in enumerate(cases)
-    ]
+    run_case = functools.partial(
+        _run_case,
+        discipline,
+        methods,
+        cfg,
+        base_seed,
+        target_customers,
+        replications,
+        ci_rel_threshold,
+    )
     jobs = _resolve_jobs(jobs)
     if jobs == 1 or len(cases) <= 1:
-        chunks = [_run_case(p) for p in payloads]
+        chunks = [run_case(item) for item in enumerate(cases)]
     else:
         with Pool(processes=min(jobs, len(cases))) as pool:
-            chunks = pool.map(_run_case, payloads, chunksize=1)
+            chunks = pool.map(run_case, enumerate(cases), chunksize=1)
     records = [r for chunk in chunks for r in chunk]
     return ErrorReport(
         discipline=discipline, methods=methods, records=records
     )
 
 
-def render_bin_table(report: ErrorReport, method: Method) -> str:
-    """Aligned-text table of binned absolute errors by queue count."""
-    table = bin_table(report, method)
-    header = ["queues"] + list(_BIN_LABELS)
-    lines = ["  ".join(f"{h:>8}" for h in header)]
-    for n, row in table.items():
-        cells = [f"{n:>8}"] + [f"{v:>8.2f}" for v in row]
+# A report table is its column labels, one row of values per queue count
+# and the column width of its aligned-text form; it is rendered as aligned
+# text and as CSV.
+_Table = tuple[list[str], dict[int, Sequence[float]], int]
+
+
+def _binned(report: ErrorReport, method: Method) -> _Table:
+    return list(_BIN_LABELS), bin_table(report, method), 8
+
+
+def _by_facet(report: ErrorReport, method: Method, facet: str) -> _Table:
+    table = mean_error_by(report, method, FACETS[facet])
+    columns = sorted({key for row in table.values() for key in row}, key=str)
+    rows = {
+        n: [row.get(c, math.nan) for c in columns] for n, row in table.items()
+    }
+    return [str(c) for c in columns], rows, 16
+
+
+def _text(table: _Table) -> str:
+    labels, rows, width = table
+    lines = ["  ".join(f"{h:>{width}}" for h in ["queues", *labels])]
+    for n, row in rows.items():
+        cells = [f"{n:>{width}}"] + [f"{v:>{width}.2f}" for v in row]
         lines.append("  ".join(cells))
     return "\n".join(lines)
+
+
+def _csv(table: _Table) -> str:
+    labels, rows, _ = table
+    lines = ["queues," + ",".join(labels)]
+    for n, row in rows.items():
+        lines.append(f"{n}," + ",".join(repr(v) for v in row))
+    return "\n".join(lines)
+
+
+def render_bin_table(report: ErrorReport, method: Method) -> str:
+    """Aligned-text table of binned absolute errors by queue count."""
+    return _text(_binned(report, method))
 
 
 def render_mean_table(
     report: ErrorReport, method: Method, facet: str
 ) -> str:
     """Aligned-text table of mean absolute errors by queue count x facet."""
-    table = mean_error_by(report, method, FACETS[facet])
-    columns: list[object] = sorted(
-        {key for row in table.values() for key in row}, key=str
+    return _text(_by_facet(report, method, facet))
+
+
+def _cell_codec(kind: type) -> tuple[Callable, Callable]:
+    # (to text, from text) for a CSV cell holding a value of type `kind`;
+    # floats keep full precision through repr.
+    if kind is bool:
+        return (lambda v: str(int(v))), (lambda text: bool(int(text)))
+    if issubclass(kind, Enum):
+        return (lambda v: v.value), kind
+    return (repr if kind is float else str), kind
+
+
+def _schema(cls: type) -> list[tuple[str, type]]:
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+
+
+# One CSV column per field of ErrorRecord, with ``case`` flattened in place
+# into the fields of TestBedCase: (column, attribute path, type).
+_RECORD_FIELDS = _schema(ErrorRecord)
+_CSV_SCHEMA = [
+    column
+    for name, kind in _RECORD_FIELDS
+    for column in (
+        [(c, f"{name}.{c}", k) for c, k in _schema(TestBedCase)]
+        if kind is TestBedCase
+        else [(name, name, kind)]
     )
-    header = ["queues"] + [str(c) for c in columns]
-    lines = ["  ".join(f"{h:>16}" for h in header)]
-    for n, row in table.items():
-        cells = [f"{n:>16}"] + [
-            f"{row.get(c, math.nan):>16.2f}" for c in columns
-        ]
-        lines.append("  ".join(cells))
-    return "\n".join(lines)
-
-
-_CSV_COLUMNS = [
-    "case_index",
-    "n_queues",
-    "rho",
-    "scv_interarrival",
-    "scv_service",
-    "scv_switchover",
-    "imbalance_interarrival",
-    "imbalance_service",
-    "switchover_service_ratio",
-    "discipline",
-    "queue",
-    "method",
-    "approx",
-    "oracle",
-    "oracle_ci_half_width",
-    "rel_err",
-    "flagged",
 ]
+_CSV_HEADER = [column for column, _, _ in _CSV_SCHEMA]
+_CSV_VALUES = operator.attrgetter(*(path for _, path, _ in _CSV_SCHEMA))
+_CSV_TO_TEXT, _CSV_FROM_TEXT = zip(
+    *(_cell_codec(kind) for _, _, kind in _CSV_SCHEMA)
+)
+# Every field before ``case`` is one column, so the case's columns start at
+# its field index.
+_CASE_AT = [kind for _, kind in _RECORD_FIELDS].index(TestBedCase)
+_CASE_COLUMNS = slice(
+    _CASE_AT, _CASE_AT + len(dataclasses.fields(TestBedCase))
+)
 
 
 def report_to_csv(report: ErrorReport, path: str) -> None:
     """Write raw records; floats keep full precision for exact reload."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
-        for r in report.records:
-            c = r.case
-            writer.writerow(
-                [
-                    r.case_index,
-                    c.n_queues,
-                    repr(c.rho),
-                    repr(c.scv_interarrival),
-                    repr(c.scv_service),
-                    repr(c.scv_switchover),
-                    repr(c.imbalance_interarrival),
-                    repr(c.imbalance_service),
-                    repr(c.switchover_service_ratio),
-                    r.discipline.value,
-                    r.queue,
-                    r.method.value,
-                    repr(r.approx),
-                    repr(r.oracle),
-                    repr(r.oracle_ci_half_width),
-                    repr(r.rel_err),
-                    int(r.flagged),
-                ]
-            )
+        writer.writerow(_CSV_HEADER)
+        writer.writerows(
+            [to_text(v) for to_text, v in zip(_CSV_TO_TEXT, _CSV_VALUES(r))]
+            for r in report.records
+        )
 
 
 def report_from_csv(path: str) -> ErrorReport:
     """Rebuild an :class:`ErrorReport` from :func:`report_to_csv` output."""
     records = []
-    methods: list[Method] = []
-    discipline = None
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            case = TestBedCase(
-                n_queues=int(row["n_queues"]),
-                rho=float(row["rho"]),
-                scv_interarrival=float(row["scv_interarrival"]),
-                scv_service=float(row["scv_service"]),
-                scv_switchover=float(row["scv_switchover"]),
-                imbalance_interarrival=float(row["imbalance_interarrival"]),
-                imbalance_service=float(row["imbalance_service"]),
-                switchover_service_ratio=float(
-                    row["switchover_service_ratio"]
-                ),
-            )
-            discipline = Discipline(row["discipline"])
-            method = Method(row["method"])
-            if method not in methods:
-                methods.append(method)
-            records.append(
-                ErrorRecord(
-                    case_index=int(row["case_index"]),
-                    case=case,
-                    discipline=discipline,
-                    queue=int(row["queue"]),
-                    method=method,
-                    approx=float(row["approx"]),
-                    oracle=float(row["oracle"]),
-                    oracle_ci_half_width=float(row["oracle_ci_half_width"]),
-                    rel_err=float(row["rel_err"]),
-                    flagged=bool(int(row["flagged"])),
-                )
-            )
-    if discipline is None:
+        for row in csv.DictReader(handle):
+            values = [
+                from_text(row[column])
+                for column, from_text in zip(_CSV_HEADER, _CSV_FROM_TEXT)
+            ]
+            values[_CASE_COLUMNS] = [TestBedCase(*values[_CASE_COLUMNS])]
+            records.append(ErrorRecord(*values))
+    if not records:
         raise ValueError(f"no records in {path}")
     return ErrorReport(
-        discipline=discipline, methods=tuple(methods), records=records
+        discipline=records[-1].discipline,
+        methods=tuple(dict.fromkeys(r.method for r in records)),
+        records=records,
     )
 
 
@@ -720,30 +667,13 @@ def write_report_files(report: ErrorReport, outdir: str) -> list[str]:
 
     for method in report.methods:
         slug = method.value.replace("-", "_")
-        emit(f"errors_binned_{slug}.txt", render_bin_table(report, method))
-        rows = bin_table(report, method)
-        csv_lines = ["queues," + ",".join(_BIN_LABELS)]
-        for n, row in rows.items():
-            csv_lines.append(
-                f"{n}," + ",".join(repr(v) for v in row)
-            )
-        emit(f"errors_binned_{slug}.csv", "\n".join(csv_lines))
+        tables = {f"errors_binned_{slug}": _binned(report, method)}
         for facet in FACETS:
-            emit(
-                f"mean_error_by_{facet}_{slug}.txt",
-                render_mean_table(report, method, facet),
-            )
-            table = mean_error_by(report, method, FACETS[facet])
-            columns = sorted(
-                {key for row in table.values() for key in row}, key=str
-            )
-            csv_lines = ["queues," + ",".join(str(c) for c in columns)]
-            for n, row in table.items():
-                csv_lines.append(
-                    f"{n},"
-                    + ",".join(repr(row.get(c, math.nan)) for c in columns)
-                )
-            emit(f"mean_error_by_{facet}_{slug}.csv", "\n".join(csv_lines))
+            table = _by_facet(report, method, facet)
+            tables[f"mean_error_by_{facet}_{slug}"] = table
+        for name, table in tables.items():
+            emit(f"{name}.txt", _text(table))
+            emit(f"{name}.csv", _csv(table))
     return written
 
 

@@ -209,6 +209,25 @@ def test_spec_file_rejects_huge_integer(capsys, tmp_path, field):
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"mean_switchover": 1e200},
+        {"mean_service": 1e200, "mean_interarrival_at_saturation": 1e201},
+    ],
+    ids=["switchover", "service"],
+)
+def test_analyze_rejects_overflowing_moments(capsys, tmp_path, fields):
+    # Finite floats whose squares overflow: no moment aggregate exists.
+    data = demo_dict()
+    data["queues"][0].update(fields)
+    path = write_spec(tmp_path, data)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: moment aggregates overflow a float\n"
+
+
 def test_spec_file_rejects_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -450,10 +469,12 @@ def test_sweep_rows_equal_direct_estimates(capsys, tmp_path):
     assert next(rows, None) is None
 
 
-def _fresh_main(argv):
+def _fresh_main(argv, hash_seed=None):
     """`main(argv)` in a new interpreter: (exit code, stdout, stderr)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pollwait.__file__))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     proc = subprocess.run(
         [
             sys.executable,
@@ -493,3 +514,18 @@ def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path):
     assert [r[0] for r in in_process] == [0, 2, 2, 0, 0, 0]
     assert in_process[-1] == in_process[0]
     assert in_process == [_fresh_main(argv) for argv in calls]
+
+
+def test_spec_file_error_does_not_depend_on_hash_seed(tmp_path):
+    # With two bad fields in one queue the error names the first in field
+    # order, whatever order the interpreter's string hashing gives sets.
+    data = demo_dict()
+    data["queues"][0].update(mean_service="x", scv_switchover="y")
+    path = write_spec(tmp_path, data)
+    first, second = (_fresh_main(["analyze", path], seed) for seed in (1, 3))
+    assert first == second
+    assert first == (
+        2,
+        "",
+        "error: queues[0].mean_service must be a number, got 'x'\n",
+    )

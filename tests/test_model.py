@@ -167,6 +167,28 @@ def test_derived_moments_ignore_operating_load():
     assert low == high
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # A square of a finite float overflows and ``**`` raises.
+        dict(mean_switchover=1e200),
+        dict(mean_service=1e200, mean_interarrival_at_saturation=2e200),
+        # A product overflows to inf without raising.
+        dict(mean_switchover=1e10, scv_switchover=1e300),
+        dict(
+            mean_service=1e10,
+            mean_interarrival_at_saturation=2e10,
+            scv_service=1e300,
+        ),
+    ],
+    ids=["switchover-square", "service-square", "switchover-var", "service-var"],
+)
+def test_derived_moments_reject_overflow(overrides):
+    spec = SystemSpec((make_queue(**overrides), make_queue()), Discipline.GATED, 0.5)
+    with pytest.raises(InvalidMoment, match="overflow"):
+        derive_moments(spec)
+
+
 def test_density_modes_feed_derived_values():
     user = make_queue(density_mode=DensityMode.USER_VALUE, density_value=0.37)
     approx = make_queue(scv_interarrival=0.5)  # rule value 0.5**4

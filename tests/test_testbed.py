@@ -60,6 +60,9 @@ def test_poisson_bed():
 def test_high_variation_bed():
     cases = high_variation_poisson_bed()
     assert len(cases) == 768
+    assert cases[0] == TestBedCase(2, 0.1, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0)
+    assert cases[1] == TestBedCase(2, 0.1, 1.0, 2.0, 2.0, 1.0, 1.0, 5.0)
+    assert cases[-1] == TestBedCase(5, 0.99, 1.0, 5.0, 5.0, 5.0, 5.0, 5.0)
     assert all(c.scv_interarrival == 1.0 for c in cases)
     assert {c.scv_service for c in cases} == {2.0, 5.0}
     assert {c.scv_switchover for c in cases} == {2.0, 5.0}
@@ -68,6 +71,10 @@ def test_high_variation_bed():
 def test_sampled_bed():
     cases = sampled_bed()
     assert len(cases) == 80
+    assert cases[0] == TestBedCase(2, 0.1, 0.25, 0.25, 1.0, 5.0, 1.0, 1.0)
+    # The innermost axis is the service scv.
+    assert cases[1] == TestBedCase(2, 0.1, 0.25, 1.0, 1.0, 5.0, 1.0, 1.0)
+    assert cases[-1] == TestBedCase(5, 0.9, 2.0, 1.0, 1.0, 5.0, 1.0, 1.0)
     assert all(c.scv_interarrival in (0.25, 2.0) for c in cases)
     assert all(c.rho <= 0.9 for c in cases)
     assert all(c.imbalance_interarrival == 5.0 for c in cases)
@@ -274,6 +281,13 @@ def test_csv_round_trip(tmp_path):
     )
     path = tmp_path / "records.csv"
     report_to_csv(report, str(path))
+    with open(path, newline="") as handle:
+        assert handle.readline() == (
+            "case_index,n_queues,rho,scv_interarrival,scv_service,"
+            "scv_switchover,imbalance_interarrival,imbalance_service,"
+            "switchover_service_ratio,discipline,queue,method,approx,oracle,"
+            "oracle_ci_half_width,rel_err,flagged\r\n"
+        )
     reloaded = report_from_csv(str(path))
     assert reloaded.discipline is GAT
     assert reloaded.methods == report.methods
