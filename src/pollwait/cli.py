@@ -142,7 +142,7 @@ def load_spec_file(
             raise SpecFileError(
                 f"{path}: no rho in file and none given on the command line"
             )
-        rho = _number(data["rho"], "rho")
+        rho = _number(data["rho"], f"{path}: rho")
 
     raw_queues = data.get("queues")
     if not isinstance(raw_queues, list) or not raw_queues:
@@ -163,7 +163,7 @@ def load_spec_file(
                 f"{path}: {label} is missing fields {sorted(missing)}"
             )
         kwargs = {
-            key: _number(entry[key], f"{label}.{key}")
+            key: _number(entry[key], f"{path}: {label}.{key}")
             for key in _QUEUE_REQUIRED
         }
         if "density_mode" in entry:
@@ -174,10 +174,16 @@ def load_spec_file(
             )
         if entry.get("density_value") is not None:
             kwargs["density_value"] = _number(
-                entry["density_value"], f"{label}.density_value"
+                entry["density_value"], f"{path}: {label}.density_value"
             )
-        queues.append(QueueSpec(**kwargs))
-    return SystemSpec(queues=tuple(queues), discipline=discipline, rho=rho)
+        try:
+            queues.append(QueueSpec(**kwargs))
+        except PollingModelError as exc:
+            raise SpecFileError(f"{path}: {label}: {exc}") from exc
+    try:
+        return SystemSpec(queues=tuple(queues), discipline=discipline, rho=rho)
+    except PollingModelError as exc:
+        raise SpecFileError(f"{path}: {exc}") from exc
 
 
 def spec_to_dict(spec: SystemSpec) -> dict:

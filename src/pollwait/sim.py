@@ -6,8 +6,17 @@ it is written for throughput and determinism rather than generality:
 * Renewal arrivals are generated lazily.  Each queue keeps only its next
   pending arrival epoch; the server loop advances it customer by customer,
   which removes any need for an event calendar.
+* One visit loop serves both disciplines.  It admits a customer that has
+  arrived (``arrive <= t``) and arrived before the visit's gate
+  (``arrive < gate``); the gate is the visit's start under gated service
+  and infinite under exhaustive service.
 * Variates come from per-queue, per-purpose substreams spawned from a
   single seed, so results are reproducible and replications independent.
+  Each substream is a C-level iterator: ``itertools.repeat`` for a
+  deterministic law, otherwise chained chunks of ``sample_array``.
+* The event budget counts services and switch-overs.  It is checked once
+  per visit, after the switch-over, so a run raises within one visit of
+  exceeding it.
 * Statistics are collected per cycle after a warm-up period.  Confidence
   intervals use batch means over contiguous blocks of cycles, pooled over
   replications.
@@ -18,6 +27,7 @@ queue 0 with all queues empty and fresh interarrival countdowns.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -111,21 +121,13 @@ class SimEstimate:
 
 def _stream(dist: FittedDistribution, rng: np.random.Generator) -> Iterator[float]:
     if dist.kind is DistKind.DETERMINISTIC:
-        value = dist.mean
-
-        def constant() -> Iterator[float]:
-            while True:
-                yield value
-
-        return constant()
-
-    def chunked() -> Iterator[float]:
-        while True:
-            # tolist() yields Python floats, which are cheaper to consume
-            # in the tight loop below than numpy scalars.
-            yield from sample_array(dist, rng, _CHUNK).tolist()
-
-    return chunked()
+        return itertools.repeat(dist.mean)
+    # tolist() yields Python floats, which are cheaper to consume in the
+    # visit loop than numpy scalars.  sample_array is looked up here on
+    # every chunk, so a wrapper installed on this module sees each draw.
+    return itertools.chain.from_iterable(
+        sample_array(dist, rng, _CHUNK).tolist() for _ in itertools.repeat(None)
+    )
 
 
 def _fit_laws(
@@ -177,7 +179,7 @@ def _run_replication(
     warmup = cfg.warmup_cycles
     measured = cfg.measured_cycles
     batches = cfg.batch_count
-    exhaustive = spec.discipline is Discipline.EXHAUSTIVE
+    gated = spec.discipline is Discipline.GATED
 
     wait_sums = [[0.0] * batches for _ in range(n)]
     wait_counts = [[0] * batches for _ in range(n)]
@@ -206,43 +208,21 @@ def _run_replication(
             visit_sojourn = 0.0
             if log is not None:
                 log.append(SimEvent(t, "visit_begin", i, arrive))
-            if exhaustive:
-                while arrive <= t:
-                    if log is not None:
-                        log.append(SimEvent(t, "service_start", i, arrive))
-                    hold = next_sv()
-                    if measuring:
-                        sums_row[batch] += t - arrive
-                        counts_row[batch] += 1
-                        visit_sojourn += t - arrive + hold
-                        busy_time += hold
-                    t += hold
-                    events += 1
-                    if events > budget:
-                        raise NumericalBudget(
-                            f"event budget of {budget} exhausted; raise "
-                            "max_events or shorten the run"
-                        )
-                    arrive += next_ia()
-            else:
-                gate = t  # arrivals at or after this instant wait a cycle
-                while arrive < gate:
-                    if log is not None:
-                        log.append(SimEvent(t, "service_start", i, arrive))
-                    hold = next_sv()
-                    if measuring:
-                        sums_row[batch] += t - arrive
-                        counts_row[batch] += 1
-                        visit_sojourn += t - arrive + hold
-                        busy_time += hold
-                    t += hold
-                    events += 1
-                    if events > budget:
-                        raise NumericalBudget(
-                            f"event budget of {budget} exhausted; raise "
-                            "max_events or shorten the run"
-                        )
-                    arrive += next_ia()
+            # Under gated service t >= gate, so `arrive <= t` adds nothing
+            # there; an arrival exactly at the gate waits a cycle.
+            gate = t if gated else math.inf
+            while arrive <= t and arrive < gate:
+                if log is not None:
+                    log.append(SimEvent(t, "service_start", i, arrive))
+                hold = next_sv()
+                if measuring:
+                    sums_row[batch] += t - arrive
+                    counts_row[batch] += 1
+                    visit_sojourn += t - arrive + hold
+                    busy_time += hold
+                t += hold
+                events += 1
+                arrive += next_ia()
             next_arrival[i] = arrive
             sojourn_sums[i] += visit_sojourn
             if log is not None:
@@ -251,21 +231,37 @@ def _run_replication(
             events += 1
             if log is not None:
                 log.append(SimEvent(t, "switch_end", i, math.nan))
+            if events > budget:
+                raise NumericalBudget(
+                    f"event budget of {budget} exhausted; raise "
+                    "max_events or shorten the run"
+                )
 
     span = t - t_measure_begin
     return wait_sums, wait_counts, sojourn_sums, busy_time, span, events
 
 
-def _expected_events(spec: SystemSpec, cfg: SimConfig) -> float:
+def _customers_per_cycle(spec: SystemSpec) -> float:
     # Mean cycle length is E[S] / (1 - rho); customers per cycle follow
     # from the per-queue arrival rates rho / mean_interarrival_at_saturation.
     total_switch = sum(q.mean_switchover for q in spec.queues)
     rate = sum(
         spec.rho / q.mean_interarrival_at_saturation for q in spec.queues
     )
-    per_cycle = spec.n + rate * total_switch / (1.0 - spec.rho)
+    return rate * total_switch / (1.0 - spec.rho)
+
+
+def _expected_events(spec: SystemSpec, cfg: SimConfig) -> float:
+    per_cycle = spec.n + _customers_per_cycle(spec)
     cycles = cfg.warmup_cycles + cfg.measured_cycles
     return cfg.replications * cycles * per_cycle
+
+
+def _half_width(values: list[float]) -> float:
+    """Student-t 95% half-width of the mean of two or more `values`."""
+    spread = float(np.std(values, ddof=1))
+    quantile = float(stdtrit(len(values) - 1, 0.975))
+    return quantile * spread / math.sqrt(len(values))
 
 
 def simulate(
@@ -344,21 +340,14 @@ def simulate(
             continue
         mean_wait.append(wait_total[i] / count_total[i])
         means = all_batch_means[i]
-        if len(means) >= 2:
-            spread = float(np.std(means, ddof=1))
-            quantile = float(stdtrit(len(means) - 1, 0.975))
-            half_widths.append(quantile * spread / math.sqrt(len(means)))
-        else:
-            half_widths.append(math.inf)
+        half_widths.append(_half_width(means) if len(means) >= 2 else math.inf)
 
     total_span = sum(span_values)
     queue_lengths = tuple(s / total_span for s in sojourn_total)
     realized_load = sum(busy_values) / total_span
     if cfg.replications >= 2:
         per_rep = [b / s for b, s in zip(busy_values, span_values)]
-        spread = float(np.std(per_rep, ddof=1))
-        quantile = float(stdtrit(cfg.replications - 1, 0.975))
-        load_half_width = quantile * spread / math.sqrt(cfg.replications)
+        load_half_width = _half_width(per_rep)
     else:
         load_half_width = math.nan
 

@@ -39,7 +39,7 @@ from .model import (
     SystemSpec,
     exact_density_mode,
 )
-from .sim import SimConfig, simulate
+from .sim import SimConfig, _customers_per_cycle, simulate
 
 __all__ = [
     "TestBedCase",
@@ -362,11 +362,7 @@ def _auto_config(
     # Size the run so the pooled sample count lands near the target, with
     # a floor that keeps batches meaningful and a cap on cycle count for
     # low loads where switch-overs dominate the cost.
-    arrival_rate = sum(
-        spec.rho / q.mean_interarrival_at_saturation for q in spec.queues
-    )
-    total_switch = sum(q.mean_switchover for q in spec.queues)
-    per_cycle = arrival_rate * total_switch / (1.0 - spec.rho)
+    per_cycle = _customers_per_cycle(spec)
     wanted = target_customers / replications / max(per_cycle, 1e-12)
     cycles = int(min(max(wanted, 100 * AUTO_BATCH_COUNT), AUTO_MAX_CYCLES))
     warmup = max(1000, cycles // 5)

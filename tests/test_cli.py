@@ -228,6 +228,32 @@ def test_analyze_rejects_overflowing_moments(capsys, tmp_path, fields):
     assert err == "error: moment aggregates overflow a float\n"
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda d: d["queues"][2].update(mean_switchover=-1.0),
+            "queues[2]: mean_switchover must be >= 0, got -1.0",
+        ),
+        (
+            lambda d: [q.update(mean_switchover=0.0) for q in d["queues"]],
+            "at least one switch-over time must have a positive mean",
+        ),
+        (
+            lambda d: d["queues"][1].update(density_value="z"),
+            "queues[1].density_value must be a number, got 'z'",
+        ),
+    ],
+    ids=["queue", "system", "number"],
+)
+def test_spec_file_errors_name_the_file(capsys, tmp_path, mutate, message):
+    data = demo_dict()
+    mutate(data)
+    path = write_spec(tmp_path, data)
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_spec_file_rejects_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -527,5 +553,5 @@ def test_spec_file_error_does_not_depend_on_hash_seed(tmp_path):
     assert first == (
         2,
         "",
-        "error: queues[0].mean_service must be a number, got 'x'\n",
+        f"error: {path}: queues[0].mean_service must be a number, got 'x'\n",
     )

@@ -1,4 +1,4 @@
-"""Property tests of the closed forms over random valid systems.
+"""Property tests of the closed forms and spec files over random systems.
 
 The estimators read one memoized, load-free record per system, keyed on
 its queues and discipline.  Besides the estimator identities, these tests
@@ -7,12 +7,20 @@ that differs in any field the formulas read must give what a fresh
 computation gives, and a spec rebuilt field by field must give the same
 output as the original.
 
+Spec files round-trip every valid system, and a demo spec file with one
+defect is rejected with exit code 2 and a one-line error.
+
 Examples are drawn deterministically (``derandomize=True``), so the suite
 runs the same cases every time.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
+import os
+import tempfile
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -30,8 +38,17 @@ from pollwait import (
     mean_wait,
     pcl_residual,
     pcl_rhs,
+    three_queue_demo_spec,
 )
 from pollwait.approx import _system_of
+from pollwait.cli import (
+    _QUEUE_KEYS,
+    _QUEUE_REQUIRED,
+    _TOP_LEVEL_KEYS,
+    load_spec_file,
+    main,
+    spec_to_dict,
+)
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -200,3 +217,70 @@ def test_rebuilt_spec_gives_identical_output(spec, discipline):
     )
     assert rebuilt.queues is not spec.queues
     assert _outputs(rebuilt) == _outputs(spec) == _fresh_outputs(rebuilt)
+
+
+def _write_json(directory, data):
+    path = os.path.join(directory, "system.json")
+    with open(path, "w") as handle:
+        json.dump(data, handle)
+    return path
+
+
+@PROPERTY_SETTINGS
+@given(systems())
+def test_spec_file_round_trips(spec):
+    with tempfile.TemporaryDirectory() as directory:
+        assert load_spec_file(_write_json(directory, spec_to_dict(spec))) == spec
+
+
+# Values no field of a spec file accepts.  json.dump writes the non-finite
+# floats as the NaN / Infinity tokens, which the loader refuses.
+_BAD_VALUES = (
+    st.sampled_from([True, None, [1], {"a": 1}, "text", 10**400, -(10**400)])
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.floats(max_value=-1e-300)
+    | st.integers(max_value=-1)
+)
+
+
+@st.composite
+def broken_spec_dicts(draw):
+    """The demo spec with one wrong value, missing field or unknown field."""
+    data = spec_to_dict(three_queue_demo_spec(0.5))
+    queue = data["queues"][draw(st.integers(0, len(data["queues"]) - 1))]
+    target, keys, required = draw(
+        st.sampled_from(
+            [
+                (data, sorted(_TOP_LEVEL_KEYS), sorted(_TOP_LEVEL_KEYS)),
+                (queue, sorted(_QUEUE_KEYS), _QUEUE_REQUIRED),
+            ]
+        )
+    )
+    defect = draw(st.sampled_from(["value", "missing", "unknown"]))
+    if defect == "value":
+        key = draw(st.sampled_from(keys))
+        if key == "density_value":
+            # null is how a file says "no density value", so it is valid.
+            target[key] = draw(_BAD_VALUES.filter(lambda v: v is not None))
+        else:
+            target[key] = draw(_BAD_VALUES)
+    elif defect == "missing":
+        del target[draw(st.sampled_from(required))]
+    else:
+        target["unknown_" + draw(st.text(max_size=5))] = 1
+    return data
+
+
+@PROPERTY_SETTINGS
+@given(broken_spec_dicts())
+def test_broken_spec_file_is_one_error_line(data):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write_json(directory, data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", path])
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err.getvalue()

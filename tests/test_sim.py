@@ -112,6 +112,57 @@ def test_budget_runtime_check():
         simulate(spec, tight)
 
 
+def test_budget_counts_trailing_switchovers():
+    # A budget one below the realized total must raise even though the
+    # run's last events are switch-overs, not services.
+    spec = two_queue_spec(rho=0.9)
+    cfg = SimConfig(
+        warmup_cycles=100,
+        measured_cycles=1_000,
+        replications=1,
+        base_seed=1230,
+        batch_count=10,
+    )
+    total = simulate(spec, cfg).total_events
+    tight = SimConfig(
+        warmup_cycles=cfg.warmup_cycles,
+        measured_cycles=cfg.measured_cycles,
+        replications=1,
+        base_seed=1230,
+        batch_count=10,
+        max_events=total - 1,
+    )
+    with pytest.raises(NumericalBudget):
+        simulate(spec, tight)
+
+
+@pytest.mark.parametrize(
+    "discipline, waits, half_widths",
+    [
+        (
+            EXH,
+            "(1.8130972825297367, 2.316670673645339)",
+            "(0.20837020237089865, 0.5604755502787896)",
+        ),
+        (
+            GAT,
+            "(2.84859072659444, 2.018117004191158)",
+            "(0.38857347284485844, 0.3281944728754261)",
+        ),
+    ],
+    ids=["exhaustive", "gated"],
+)
+def test_frozen_seed_values(discipline, waits, half_widths):
+    # Exact values at a fixed seed: any change in how the service loop or
+    # the variate streams consume the substreams shows here.  Queue 1 has
+    # deterministic switch-overs, so both stream kinds are covered.
+    estimate = simulate(two_queue_spec(discipline), SHORT)
+    assert estimate.samples_per_queue == (1956, 1486)
+    assert estimate.total_events == 14279
+    assert repr(estimate.mean_wait) == waits
+    assert repr(estimate.ci_half_width) == half_widths
+
+
 def test_same_seed_reproduces_everything():
     first = simulate(two_queue_spec(), SHORT)
     second = simulate(two_queue_spec(), SHORT)
