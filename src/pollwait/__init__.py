@@ -54,7 +54,7 @@ from .model import (
     exact_density_mode,
     scale_to_load,
 )
-from .sim import SimConfig, SimEstimate, SimEvent, simulate
+from .sim import SimConfig, SimEstimate, simulate
 from .testbed import (
     ErrorRecord,
     ErrorReport,

@@ -17,9 +17,13 @@ it is written for throughput and determinism rather than generality:
 * The event budget counts services and switch-overs.  It is checked once
   per visit, after the switch-over, so a run raises within one visit of
   exceeding it.
-* Statistics are collected per cycle after a warm-up period.  Confidence
-  intervals use batch means over contiguous blocks of cycles, pooled over
-  replications.
+* Statistics are collected per cycle after a warm-up period; warm-up
+  cycles record into an extra batch slot that is dropped before pooling.
+  Confidence intervals use batch means over contiguous blocks of cycles,
+  pooled over replications.
+* Queue lengths and the realized load come from the measured waits plus
+  each queue's busy time, added once per visit: a queue's summed sojourn
+  time is its summed waits plus its busy time.
 
 Simulated time starts at the instant the server begins the first visit of
 queue 0 with all queues empty and fresh interarrival countdowns.
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator
 
 import numpy as np
 from scipy.special import stdtrit
@@ -44,7 +48,7 @@ from .fitting import (
 )
 from .model import Discipline, SystemSpec
 
-__all__ = ["SimConfig", "SimEstimate", "SimEvent", "simulate"]
+__all__ = ["SimConfig", "SimEstimate", "simulate"]
 
 _CHUNK = 8192  # variates drawn per refill of a substream buffer
 
@@ -81,21 +85,6 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
-
-
-class SimEvent(NamedTuple):
-    """One entry of the optional event log.
-
-    ``kind`` is one of ``visit_begin``, ``service_start``, ``visit_end``
-    or ``switch_end``.  ``value`` carries the arrival epoch of the served
-    customer for ``service_start``, and the next pending arrival epoch of
-    the visited queue for ``visit_begin`` / ``visit_end``.
-    """
-
-    time: float
-    kind: str
-    queue: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -157,47 +146,39 @@ def _run_replication(
     cfg: SimConfig,
     seed: np.random.SeedSequence,
     budget: int,
-    log: Optional[list[SimEvent]],
 ):
     n = spec.n
-    interarrival, service, switchover = laws
-    substreams = seed.spawn(3 * n)
-    draw_arrival = []
-    draw_service = []
-    draw_switch = []
-    for i in range(n):
-        draw_arrival.append(
-            _stream(interarrival[i], np.random.default_rng(substreams[3 * i])).__next__
+    # Substream 3*i feeds queue i's arrivals, 3*i+1 its services and
+    # 3*i+2 its switch-overs.
+    draws = [
+        _stream(law, np.random.default_rng(substream)).__next__
+        for law, substream in zip(
+            (law for per_queue in zip(*laws) for law in per_queue),
+            seed.spawn(3 * n),
         )
-        draw_service.append(
-            _stream(service[i], np.random.default_rng(substreams[3 * i + 1])).__next__
-        )
-        draw_switch.append(
-            _stream(switchover[i], np.random.default_rng(substreams[3 * i + 2])).__next__
-        )
+    ]
+    draw_arrival, draw_service, draw_switch = draws[0::3], draws[1::3], draws[2::3]
 
     warmup = cfg.warmup_cycles
     measured = cfg.measured_cycles
     batches = cfg.batch_count
     gated = spec.discipline is Discipline.GATED
 
-    wait_sums = [[0.0] * batches for _ in range(n)]
-    wait_counts = [[0] * batches for _ in range(n)]
-    sojourn_sums = [0.0] * n
-    busy_time = 0.0
+    wait_sums = [[0.0] * (batches + 1) for _ in range(n)]
+    wait_counts = [[0] * (batches + 1) for _ in range(n)]
+    busy = [0.0] * n
     events = 0
 
     t = 0.0
     t_measure_begin = 0.0
     next_arrival = [draw_arrival[i]() for i in range(n)]
-    batch = 0
-    measuring = False
+    batch = batches  # the warm-up slot
 
     for cycle in range(warmup + measured):
         if cycle >= warmup:
             if cycle == warmup:
                 t_measure_begin = t
-                measuring = True
+                busy = [0.0] * n
             batch = (cycle - warmup) * batches // measured
         for i in range(n):
             arrive = next_arrival[i]
@@ -205,40 +186,30 @@ def _run_replication(
             next_sv = draw_service[i]
             sums_row = wait_sums[i]
             counts_row = wait_counts[i]
-            visit_sojourn = 0.0
-            if log is not None:
-                log.append(SimEvent(t, "visit_begin", i, arrive))
+            start = t
             # Under gated service t >= gate, so `arrive <= t` adds nothing
             # there; an arrival exactly at the gate waits a cycle.
             gate = t if gated else math.inf
             while arrive <= t and arrive < gate:
-                if log is not None:
-                    log.append(SimEvent(t, "service_start", i, arrive))
-                hold = next_sv()
-                if measuring:
-                    sums_row[batch] += t - arrive
-                    counts_row[batch] += 1
-                    visit_sojourn += t - arrive + hold
-                    busy_time += hold
-                t += hold
+                sums_row[batch] += t - arrive
+                counts_row[batch] += 1
+                t += next_sv()
                 events += 1
                 arrive += next_ia()
             next_arrival[i] = arrive
-            sojourn_sums[i] += visit_sojourn
-            if log is not None:
-                log.append(SimEvent(t, "visit_end", i, arrive))
+            busy[i] += t - start
             t += draw_switch[i]()
             events += 1
-            if log is not None:
-                log.append(SimEvent(t, "switch_end", i, math.nan))
             if events > budget:
                 raise NumericalBudget(
                     f"event budget of {budget} exhausted; raise "
                     "max_events or shorten the run"
                 )
 
-    span = t - t_measure_begin
-    return wait_sums, wait_counts, sojourn_sums, busy_time, span, events
+    # Drop the warm-up slot.
+    wait_sums = [row[:batches] for row in wait_sums]
+    wait_counts = [row[:batches] for row in wait_counts]
+    return wait_sums, wait_counts, busy, t - t_measure_begin, events
 
 
 def _customers_per_cycle(spec: SystemSpec) -> float:
@@ -267,7 +238,6 @@ def _half_width(values: list[float]) -> float:
 def simulate(
     spec: SystemSpec,
     cfg: SimConfig = SimConfig(),
-    event_log: Optional[list[SimEvent]] = None,
 ) -> SimEstimate:
     """Estimate mean waiting times of `spec` by discrete-event simulation.
 
@@ -277,10 +247,6 @@ def simulate(
         System to simulate; requires ``rho > 0``.
     cfg : SimConfig
         Run lengths, replication count, seed and event budget.
-    event_log : list of SimEvent, optional
-        If given, the events of the first replication are appended to it.
-        Intended for structural checks on short runs; it grows with every
-        simulated event.
 
     Returns
     -------
@@ -309,15 +275,14 @@ def simulate(
     all_batch_means: list[list[float]] = [[] for _ in range(n)]
     wait_total = [0.0] * n
     count_total = [0] * n
-    sojourn_total = [0.0] * n
+    busy_total = [0.0] * n
     busy_values = []
     span_values = []
     events_used = 0
 
-    for rep, seed in enumerate(seeds):
-        log = event_log if rep == 0 else None
-        wait_sums, wait_counts, sojourns, busy, span, events = _run_replication(
-            spec, laws, cfg, seed, cfg.max_events - events_used, log
+    for seed in seeds:
+        wait_sums, wait_counts, busy, span, events = _run_replication(
+            spec, laws, cfg, seed, cfg.max_events - events_used
         )
         events_used += events
         for i in range(n):
@@ -327,8 +292,8 @@ def simulate(
                     all_batch_means[i].append(wait_sums[i][b] / c)
             wait_total[i] += sum(wait_sums[i])
             count_total[i] += sum(wait_counts[i])
-            sojourn_total[i] += sojourns[i]
-        busy_values.append(busy)
+            busy_total[i] += busy[i]
+        busy_values.append(sum(busy))
         span_values.append(span)
 
     mean_wait = []
@@ -343,7 +308,9 @@ def simulate(
         half_widths.append(_half_width(means) if len(means) >= 2 else math.inf)
 
     total_span = sum(span_values)
-    queue_lengths = tuple(s / total_span for s in sojourn_total)
+    queue_lengths = tuple(
+        (w + b) / total_span for w, b in zip(wait_total, busy_total)
+    )
     realized_load = sum(busy_values) / total_span
     if cfg.replications >= 2:
         per_rep = [b / s for b, s in zip(busy_values, span_values)]

