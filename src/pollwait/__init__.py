@@ -12,14 +12,7 @@ from .approx import (
     InterpolationConstants,
     Method,
     WaitingTimeResult,
-    heavy_traffic_delay,
-    interpolation_constants,
     mean_wait,
-    mean_wait_ht_only,
-    mean_wait_interpolation,
-    mean_wait_large_s,
-    mean_wait_lt_only,
-    mean_wait_pcl_based,
     pcl_residual,
     pcl_rhs,
 )
@@ -41,7 +34,6 @@ from .fitting import (
     density_at_zero_two_moment_approx,
     fit_two_moments,
     realized_moments,
-    sample,
     sample_array,
 )
 from .model import (

@@ -8,7 +8,7 @@ three constants ``k0``, ``k1``, ``k2`` and evaluates
 
 so that the value and the slope at ``rho = 0`` match the light-traffic
 expansion, and the scaled limit at ``rho = 1`` matches the heavy-traffic
-asymptote.  The remaining callables are deliberately cruder comparators
+asymptote.  The other methods are deliberately cruder comparators
 (single-limit forms and a pseudo-conservation-law split) kept around to
 quantify how much each ingredient of the interpolation buys.
 
@@ -38,13 +38,6 @@ __all__ = [
     "Method",
     "InterpolationConstants",
     "WaitingTimeResult",
-    "heavy_traffic_delay",
-    "interpolation_constants",
-    "mean_wait_interpolation",
-    "mean_wait_lt_only",
-    "mean_wait_ht_only",
-    "mean_wait_large_s",
-    "mean_wait_pcl_based",
     "mean_wait",
     "pcl_rhs",
     "pcl_residual",
@@ -52,7 +45,28 @@ __all__ = [
 
 
 class Method(Enum):
-    """Available mean waiting-time estimators."""
+    """Available mean waiting-time estimators.
+
+    * ``interpolation``: the light/heavy-traffic interpolation, the
+      recommended estimator.
+    * ``lt-only``: the light-traffic behaviour alone.  It drops the
+      quadratic coefficient of the interpolation numerator, so the value
+      and slope at zero load are kept but the scaled heavy-traffic limit
+      becomes the light-traffic slope ``k0 + k1`` instead of the true
+      scaled delay.  It coincides with the interpolation whenever
+      ``k2 == 0`` (e.g. symmetric systems with exponential interarrival
+      times).
+    * ``ht-only``: the heavy-traffic asymptote alone.
+    * ``large-s``: for systems dominated by switch-over times.  It scales
+      the total mean switch-over time by the exact large-switch-over-time
+      limit of the waiting time: per cycle a customer waits about half the
+      cycle, corrected down (exhaustive) or up (gated) by its own queue's
+      load.
+    * ``pcl-based``: splits the pseudo-conservation-law total over queues,
+      proportionally to ``1 - rho_i`` (exhaustive) or ``1 + rho_i``
+      (gated).  At zero load the split degenerates to 0/0 and is replaced
+      by its continuous limit, the mean residual total switch-over time.
+    """
 
     INTERPOLATION = "interpolation"
     LT_ONLY = "lt-only"
@@ -80,13 +94,17 @@ class InterpolationConstants:
 class WaitingTimeResult:
     """Per-queue mean waiting times and queue lengths for one load point.
 
-    ``constants`` is populated only by the interpolation method.
+    ``heavy_traffic_delay`` holds each queue's mean asymptotic scaled
+    delay: the limit of ``(1 - rho) * mean_wait`` as the load approaches
+    one.  It does not depend on the load or the method.  ``constants`` is
+    populated only by the interpolation method.
     """
 
     method: Method
     rho: float
     mean_wait: tuple[float, ...]
     mean_queue_length: tuple[float, ...]
+    heavy_traffic_delay: tuple[float, ...]
     constants: Optional[tuple[InterpolationConstants, ...]] = None
 
 
@@ -94,29 +112,18 @@ _SIGN = {Discipline.EXHAUSTIVE: -1.0, Discipline.GATED: 1.0}
 
 
 def _heavy_traffic_delays(dm: DerivedMoments, sign: float) -> tuple[float, ...]:
-    # All queues' delays (see heavy_traffic_delay); sign is -1 exhaustive,
-    # +1 gated.
+    # Every queue's heavy-traffic delay; sign is -1 exhaustive, +1 gated.
+    # Exhaustive service empties the queue at every visit, which shrinks the
+    # delay by the queue's own load share; gated service defers work by one
+    # cycle and grows it.  For a single exhaustive queue the generic ratio
+    # degenerates to 0/0 and is replaced by its limit, half the
+    # heavy-traffic variance.
     if dm.n == 1 and sign < 0.0:
         return (dm.heavy_traffic_variance / 2.0,)
     fracs = dm.load_fractions
     denom = sum(f * (1.0 + sign * f) for f in fracs)
     scale = dm.heavy_traffic_variance / denom + dm.switchover_mean_total
     return tuple((1.0 + sign * f) / 2.0 * scale for f in fracs)
-
-
-def heavy_traffic_delay(
-    dm: DerivedMoments, queue: int, discipline: Discipline
-) -> float:
-    """Mean asymptotic scaled delay of `queue`: the limit of
-    ``(1 - rho) * mean_wait`` as the load approaches one.
-
-    Exhaustive service empties the queue at every visit, which shrinks the
-    delay by the queue's own load share; gated service defers work by one
-    cycle and grows it.  For a single exhaustive queue the generic ratio
-    degenerates to 0/0 and is replaced by its limit, half the
-    heavy-traffic variance.
-    """
-    return _heavy_traffic_delays(dm, _SIGN[discipline])[queue]
 
 
 def _interpolation_constants(
@@ -150,15 +157,6 @@ def _interpolation_constants(
     return tuple(constants)
 
 
-def interpolation_constants(
-    dm: DerivedMoments, queue: int, discipline: Discipline
-) -> InterpolationConstants:
-    """Interpolation constants for `queue` under either discipline."""
-    sign = _SIGN[discipline]
-    delays = _heavy_traffic_delays(dm, sign)
-    return _interpolation_constants(dm, sign, delays)[queue]
-
-
 @dataclass(frozen=True)
 class _System:
     """The load-free part of every closed form for one system.
@@ -183,7 +181,9 @@ class _System:
             for w, q in zip(waits, self.queues)
         )
         constants = self.constants if method is Method.INTERPOLATION else None
-        return WaitingTimeResult(method, rho, waits, lengths, constants)
+        return WaitingTimeResult(
+            method, rho, waits, lengths, self.ht_delays, constants
+        )
 
     def interpolation(self, rho: float) -> tuple[float, ...]:
         return tuple(
@@ -261,48 +261,23 @@ def _system(spec: SystemSpec) -> _System:
     return _system_of(spec.queues, spec.discipline)
 
 
-def mean_wait_interpolation(spec: SystemSpec) -> WaitingTimeResult:
-    """Light/heavy-traffic interpolation, the recommended estimator.
+def mean_wait(spec: SystemSpec, method: Method) -> WaitingTimeResult:
+    """Mean waiting times of every queue by one of the estimators.
 
     Parameters
     ----------
     spec : SystemSpec
         System description; its ``rho`` selects the load point.
+    method : Method
+        The estimator; ``Method.INTERPOLATION`` is the recommended one.
 
     Returns
     -------
     WaitingTimeResult
-        Per-queue means, queue lengths and the constants used.
+        Per-queue means, queue lengths and heavy-traffic delays, plus the
+        interpolation constants when `method` is the interpolation.
     """
-    return mean_wait(spec, Method.INTERPOLATION)
-
-
-def mean_wait_lt_only(spec: SystemSpec) -> WaitingTimeResult:
-    """Comparator built from the light-traffic behaviour alone.
-
-    Drops the quadratic coefficient of the interpolation numerator, so the
-    value and slope at zero load are kept but the scaled heavy-traffic
-    limit becomes the light-traffic slope ``k0 + k1`` instead of the true
-    scaled delay.  Coincides with the interpolation whenever ``k2 == 0``
-    (e.g. symmetric systems with exponential interarrival times).
-    """
-    return mean_wait(spec, Method.LT_ONLY)
-
-
-def mean_wait_ht_only(spec: SystemSpec) -> WaitingTimeResult:
-    """Comparator built from the heavy-traffic asymptote alone."""
-    return mean_wait(spec, Method.HT_ONLY)
-
-
-def mean_wait_large_s(spec: SystemSpec) -> WaitingTimeResult:
-    """Comparator for systems dominated by switch-over times.
-
-    Scales the total mean switch-over time by the exact
-    large-switch-over-time limit of the waiting time: per cycle a customer
-    waits about half the cycle, corrected down (exhaustive) or up (gated)
-    by its own queue's load.
-    """
-    return mean_wait(spec, Method.LARGE_S)
+    return _system(spec).result(method, spec.rho)
 
 
 def pcl_rhs(spec: SystemSpec) -> float:
@@ -322,19 +297,3 @@ def pcl_residual(spec: SystemSpec) -> float:
     the approximation error otherwise.
     """
     return _system(spec).pcl_residual(spec.rho)
-
-
-def mean_wait_pcl_based(spec: SystemSpec) -> WaitingTimeResult:
-    """Comparator that splits the conservation-law total over queues.
-
-    Distributes the pseudo-conservation-law right-hand side proportionally
-    to ``1 - rho_i`` (exhaustive) or ``1 + rho_i`` (gated).  At zero load
-    the split degenerates to 0/0 and is replaced by its continuous limit,
-    the mean residual total switch-over time.
-    """
-    return mean_wait(spec, Method.PCL_BASED)
-
-
-def mean_wait(spec: SystemSpec, method: Method) -> WaitingTimeResult:
-    """Evaluate any of the estimators by name."""
-    return _system(spec).result(method, spec.rho)

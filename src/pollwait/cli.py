@@ -31,16 +31,10 @@ import tempfile
 from enum import Enum
 from typing import Optional, Sequence
 
-# pcl_residual, pcl_rhs and derive_moments are not called here; they stay
-# module attributes because bench/tracer.py wraps them by name.
-from .approx import (  # noqa: F401
-    Method,
-    _system,
-    mean_wait,
-    pcl_residual,
-    pcl_rhs,
-)
+from .approx import Method, mean_wait, pcl_residual, pcl_rhs
 from .errors import NumericalBudget, PollingModelError, SpecFileError
+# derive_moments is not called here; it stays a module attribute because
+# bench/tracer.py wraps it by name.
 from .model import (
     DensityMode,
     Discipline,
@@ -216,11 +210,20 @@ def _parse_rho_grid(text: str) -> list[float]:
         raise SpecFileError(
             f"--rho-grid must contain numbers, got {text!r}"
         ) from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise SpecFileError(f"--rho-grid must be finite, got {text!r}")
     if step <= 0.0:
         raise SpecFileError(f"--rho-grid step must be positive, got {step!r}")
-    if stop < start:
-        raise SpecFileError("--rho-grid stop must be >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if not 0.0 <= start <= stop < 1.0:
+        raise SpecFileError(
+            f"--rho-grid must have 0 <= start <= stop < 1, got {text!r}"
+        )
+    try:
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    except OverflowError:
+        raise SpecFileError(
+            f"--rho-grid step {step!r} is too small for {text!r}"
+        ) from None
     grid = [start + k * step for k in range(count)]
     for rho in grid:
         if not 0.0 <= rho < 1.0:
@@ -289,12 +292,13 @@ _ANALYZE_COLUMNS = (
 def _cmd_analyze(args) -> int:
     spec = _resolve_spec(args, rho=args.rho)
     method = Method(args.method)
-    system = _system(spec)
-    result = system.result(method, spec.rho)
-    residual = system.pcl_residual(spec.rho)
+    result = mean_wait(spec, method)
+    residual = pcl_residual(spec)
     rows = [
-        [result.mean_wait[i], result.mean_queue_length[i], system.ht_delays[i]]
-        for i in range(spec.n)
+        list(row)
+        for row in zip(
+            result.mean_wait, result.mean_queue_length, result.heavy_traffic_delay
+        )
     ]
     for row, c in zip(rows, result.constants or ()):
         row += [c.k0, c.k1, c.k2]
@@ -311,7 +315,7 @@ def _cmd_analyze(args) -> int:
             "method": method.value,
             "discipline": spec.discipline.value,
             "rho": spec.rho,
-            "pcl_rhs": system.pcl_rhs(spec.rho),
+            "pcl_rhs": pcl_rhs(spec),
             "pcl_residual": residual,
             "queues": queues,
         }
@@ -420,19 +424,14 @@ def _cmd_testbed(args) -> int:
     cases = _SUBSETS[args.subset]()
     methods = _parse_methods(args.methods)
     discipline = Discipline(args.discipline)
-    target = args.target_samples
-    replications = args.reps
-    if args.fidelity == "publication":
-        target *= 25
-        replications = max(replications, 10)
     report = run_comparison(
         cases,
         methods,
         discipline,
         base_seed=args.seed,
         jobs=args.jobs,
-        target_customers=target,
-        replications=replications,
+        target_customers=args.target_samples,
+        replications=args.reps,
     )
     written = write_report_files(report, args.out)
     for line in summary_lines(report):
@@ -545,15 +544,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--target-samples",
         type=int,
         default=400_000,
-        help="waiting-time samples per case (before fidelity scaling)",
+        help="waiting-time samples per case",
     )
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument(
-        "--fidelity",
-        default="desk",
-        choices=["desk", "publication"],
-        help="publication fidelity multiplies run lengths; expect hours",
-    )
     p.set_defaults(func=_cmd_testbed)
 
     p = sub.add_parser(

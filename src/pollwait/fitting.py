@@ -205,8 +205,3 @@ def sample_array(
         rng.random(size) < dist.prob, dist.shape - 1, dist.shape
     )
     return rng.gamma(shapes, 1.0 / dist.rate, size)
-
-
-def sample(dist: FittedDistribution, rng: np.random.Generator) -> float:
-    """Draw a single variate from `dist`."""
-    return float(sample_array(dist, rng, 1)[0])

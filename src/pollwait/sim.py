@@ -85,6 +85,8 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,6 @@ __all__ = [
 # Poisson case exact.
 TWO_QUEUE_EXACT_TOL = 1e-9
 
-ENV_JOBS = "POLLWAIT_JOBS"
-
 
 @dataclass(frozen=True)
 class TestBedCase:
@@ -429,18 +427,6 @@ def _run_case(
     return records
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get(ENV_JOBS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def run_comparison(
     cases: Sequence[TestBedCase],
     methods: Sequence[Method],
@@ -467,8 +453,7 @@ def run_comparison(
         Every case derives its own seed from this and its index, so
         results do not depend on `jobs`.
     jobs : int, optional
-        Worker processes; defaults to the ``POLLWAIT_JOBS`` environment
-        variable or the CPU count.
+        Worker processes; defaults to the CPU count.
 
     Returns
     -------
@@ -481,6 +466,8 @@ def run_comparison(
             "replications and target samples must be >= 1, got "
             f"{replications} and {target_customers}"
         )
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
     methods = tuple(methods)
     run_case = functools.partial(
         _run_case,
@@ -491,7 +478,7 @@ def run_comparison(
         target_customers,
         replications,
     )
-    jobs = _resolve_jobs(jobs)
+    jobs = max(1, jobs) if jobs is not None else (os.cpu_count() or 1)
     if jobs == 1 or len(cases) <= 1:
         chunks = [run_case(item) for item in enumerate(cases)]
     else:

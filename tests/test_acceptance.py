@@ -26,11 +26,8 @@ from pollwait import (
     detect_exact_cases,
     exact_density_mode,
     fit_two_moments,
-    heavy_traffic_delay,
-    interpolation_constants,
     materialize_case,
     mean_wait,
-    mean_wait_interpolation,
     pcl_residual,
     pcl_rhs,
     realized_moments,
@@ -126,9 +123,10 @@ def test_criterion_1_structural_identities():
             for _ in range(200):
                 spec = random_system(rng, disc)
                 dm = derive_moments(spec)
-                w_zero = mean_wait_interpolation(scale_to_load(spec, 0.0)).mean_wait
+                zero = mean_wait(scale_to_load(spec, 0.0), Method.INTERPOLATION)
+                w_zero = zero.mean_wait
                 near_one = scale_to_load(spec, 1.0 - 1e-8)
-                w_heavy = mean_wait_interpolation(near_one).mean_wait
+                w_heavy = mean_wait(near_one, Method.INTERPOLATION).mean_wait
                 for i in range(spec.n):
                     value, slope = reference_value_and_slope(
                         spec, i, dm.density_at_zero
@@ -137,7 +135,7 @@ def test_criterion_1_structural_identities():
                     assert math.isclose(
                         w_zero[i], dm.switchover_residual, rel_tol=1e-12
                     )
-                    c = interpolation_constants(dm, i, disc)
+                    c = zero.constants[i]
                     # The slope can be exactly zero (single queue whose
                     # interarrival density vanishes at zero), so anchor the
                     # comparison to the zero-load value's scale.
@@ -146,7 +144,7 @@ def test_criterion_1_structural_identities():
                     )
                     assert math.isclose(
                         (1.0 - near_one.rho) * w_heavy[i],
-                        heavy_traffic_delay(dm, i, disc),
+                        zero.heavy_traffic_delay[i],
                         rel_tol=1e-6,
                     )
         # Conservation-law residual for Poisson systems across the load range.
@@ -204,7 +202,7 @@ def test_criterion_2_symmetric_poisson_exactness():
                 for rho in (0.1, 0.45, 0.8, 0.95):
                     for _ in range(3):
                         spec = symmetric_system(n, disc, rho, rng)
-                        waits = mean_wait_interpolation(spec).mean_wait
+                        waits = mean_wait(spec, Method.INTERPOLATION).mean_wait
                         for i in range(n):
                             assert math.isclose(
                                 waits[i],
@@ -231,7 +229,7 @@ def test_criterion_3_vacation_model():
                     1.0, 1.0, 1.0, 1.0, 1.0, 0.0, DensityMode.EXACT_EXPONENTIAL
                 )
                 spec = SystemSpec(queues=(q,), discipline=disc, rho=rho)
-                value = mean_wait_interpolation(spec).mean_wait[0]
+                value = mean_wait(spec, Method.INTERPOLATION).mean_wait[0]
                 est = simulate(spec, VACATION_CFG)
                 half_width = est.ci_half_width[0]
                 assert abs(est.mean_wait[0] - value) <= half_width
@@ -256,7 +254,7 @@ def test_criterion_4_large_switchover_limit():
         for disc, sign in ((EXH, -1.0), (GAT, 1.0)):
             for rho in (0.3, 0.9):
                 spec = SystemSpec(queues=queues, discipline=disc, rho=rho)
-                waits = mean_wait_interpolation(spec).mean_wait
+                waits = mean_wait(spec, Method.INTERPOLATION).mean_wait
                 for i, q in enumerate(spec.queues):
                     rho_i = rho * q.load_fraction
                     limit = (1.0 + sign * rho_i) / (2.0 * (1.0 - rho))
@@ -318,7 +316,7 @@ def test_criterion_6_exact_cases_and_error_trend(sampled_report):
         )
         for index in (asymmetric[0], symmetric_pick):
             spec = materialize_case(cases[index], EXH)
-            value = mean_wait_interpolation(spec).mean_wait
+            value = mean_wait(spec, Method.INTERPOLATION).mean_wait
             cfg = SimConfig(
                 warmup_cycles=5_000,
                 measured_cycles=60_000,

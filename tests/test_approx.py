@@ -19,14 +19,7 @@ from pollwait import (
     SystemSpec,
     derive_moments,
     exact_density_mode,
-    heavy_traffic_delay,
-    interpolation_constants,
     mean_wait,
-    mean_wait_ht_only,
-    mean_wait_interpolation,
-    mean_wait_large_s,
-    mean_wait_lt_only,
-    mean_wait_pcl_based,
     pcl_residual,
     pcl_rhs,
     scale_to_load,
@@ -34,6 +27,7 @@ from pollwait import (
 
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
+INTERP = Method.INTERPOLATION
 
 
 def three_queue_mixed(discipline=EXH, rho=0.5):
@@ -129,9 +123,9 @@ def reference_lt_value_and_slope(spec, queue, density):
 
 def test_constants_match_exact_rationals():
     for disc in (EXH, GAT):
-        dm = derive_moments(three_queue_mixed(disc))
+        constants = mean_wait(three_queue_mixed(disc), INTERP).constants
         for i, (k0, k1, k2) in enumerate(EXPECTED_CONSTANTS[disc]):
-            c = interpolation_constants(dm, i, disc)
+            c = constants[i]
             assert math.isclose(c.k0, k0, rel_tol=1e-12)
             assert math.isclose(c.k1, k1, rel_tol=1e-12)
             assert math.isclose(c.k2, k2, rel_tol=1e-12)
@@ -140,9 +134,9 @@ def test_constants_match_exact_rationals():
 
 def test_heavy_traffic_delay_matches_exact_rationals():
     for disc in (EXH, GAT):
-        dm = derive_moments(three_queue_mixed(disc))
+        delays = mean_wait(three_queue_mixed(disc), INTERP).heavy_traffic_delay
         for i, omega in enumerate(EXPECTED_HT_DELAY[disc]):
-            assert math.isclose(heavy_traffic_delay(dm, i, disc), omega, rel_tol=1e-12)
+            assert math.isclose(delays[i], omega, rel_tol=1e-12)
 
 
 def test_sum_of_constants_equals_heavy_traffic_delay():
@@ -150,10 +144,10 @@ def test_sum_of_constants_equals_heavy_traffic_delay():
     for disc in (EXH, GAT):
         for _ in range(40):
             spec = random_system(rng, disc)
-            dm = derive_moments(spec)
+            result = mean_wait(spec, INTERP)
             for i in range(spec.n):
-                c = interpolation_constants(dm, i, disc)
-                omega = heavy_traffic_delay(dm, i, disc)
+                c = result.constants[i]
+                omega = result.heavy_traffic_delay[i]
                 assert math.isclose(c.k0 + c.k1 + c.k2, omega, rel_tol=1e-12)
 
 
@@ -163,8 +157,9 @@ def test_zero_load_value_and_slope_match_reference():
         for _ in range(60):
             spec = random_system(rng, disc)
             dm = derive_moments(spec)
+            constants = mean_wait(spec, INTERP).constants
             for i in range(spec.n):
-                c = interpolation_constants(dm, i, disc)
+                c = constants[i]
                 value, slope = reference_lt_value_and_slope(
                     spec, i, dm.density_at_zero
                 )
@@ -183,10 +178,12 @@ def test_single_queue_exhaustive_delay_uses_variance_limit():
     # is half the heavy-traffic variance.
     queues = (QueueSpec(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, DensityMode.EXACT_EXPONENTIAL),)
     spec = SystemSpec(queues=queues, discipline=EXH, rho=0.5)
+    gated = SystemSpec(queues=queues, discipline=GAT, rho=0.5)
     dm = derive_moments(spec)
-    assert math.isclose(heavy_traffic_delay(dm, 0, EXH), dm.heavy_traffic_variance / 2)
+    exh_delay = mean_wait(spec, INTERP).heavy_traffic_delay[0]
+    assert math.isclose(exh_delay, dm.heavy_traffic_variance / 2)
     assert math.isclose(
-        heavy_traffic_delay(dm, 0, GAT),
+        mean_wait(gated, INTERP).heavy_traffic_delay[0],
         dm.heavy_traffic_variance / 2.0 + dm.switchover_mean_total,
         rel_tol=1e-14,
     )
@@ -214,7 +211,7 @@ def test_vacation_model_is_exact():
         exact_gat = exact_exh + rho * mean_s / (1.0 - rho)
         for disc, exact in ((EXH, exact_exh), (GAT, exact_gat)):
             spec = SystemSpec(queues=queues, discipline=disc, rho=rho)
-            got = mean_wait_interpolation(spec).mean_wait[0]
+            got = mean_wait(spec, INTERP).mean_wait[0]
             assert math.isclose(got, exact, rel_tol=1e-12)
 
 
@@ -263,7 +260,7 @@ def test_symmetric_poisson_closed_form():
         for n in (1, 2, 3, 5):
             for rho in (0.1, 0.45, 0.8, 0.95):
                 spec = symmetric_system(n, disc, rho, rng)
-                result = mean_wait_interpolation(spec)
+                result = mean_wait(spec, INTERP)
                 for i in range(n):
                     expected = symmetric_closed_form(spec, i)
                     assert math.isclose(result.mean_wait[i], expected, rel_tol=1e-12)
@@ -271,16 +268,16 @@ def test_symmetric_poisson_closed_form():
                     # truncation is the same estimator here.
                     c = result.constants[i]
                     assert abs(c.k2) <= 1e-10 * max(1.0, abs(c.k0) + abs(c.k1))
-                lt = mean_wait_lt_only(spec)
+                lt = mean_wait(spec, Method.LT_ONLY)
                 np.testing.assert_allclose(lt.mean_wait, result.mean_wait, rtol=1e-9)
 
 
 def test_lt_only_drops_the_quadratic_term():
     spec = three_queue_mixed(EXH, rho=0.6)
-    dm = derive_moments(spec)
-    lt = mean_wait_lt_only(spec)
+    constants = mean_wait(spec, INTERP).constants
+    lt = mean_wait(spec, Method.LT_ONLY)
     for i in range(spec.n):
-        c = interpolation_constants(dm, i, EXH)
+        c = constants[i]
         expected = (c.k0 + c.k1 * 0.6) / 0.4
         assert math.isclose(lt.mean_wait[i], expected, rel_tol=1e-14)
 
@@ -288,7 +285,7 @@ def test_lt_only_drops_the_quadratic_term():
 def test_ht_only_scales_the_asymptote():
     for disc in (EXH, GAT):
         spec = three_queue_mixed(disc, rho=0.8)
-        result = mean_wait_ht_only(spec)
+        result = mean_wait(spec, Method.HT_ONLY)
         for i in range(spec.n):
             expected = EXPECTED_HT_DELAY[disc][i] / 0.2
             assert math.isclose(result.mean_wait[i], expected, rel_tol=1e-12)
@@ -300,10 +297,9 @@ def test_interpolation_approaches_heavy_traffic_asymptote():
     for disc in (EXH, GAT):
         for _ in range(25):
             spec = scale_to_load(random_system(rng, disc), rho)
-            dm = derive_moments(spec)
-            result = mean_wait_interpolation(spec)
+            result = mean_wait(spec, INTERP)
             for i in range(spec.n):
-                omega = heavy_traffic_delay(dm, i, disc)
+                omega = result.heavy_traffic_delay[i]
                 assert math.isclose((1.0 - rho) * result.mean_wait[i], omega, rel_tol=1e-6)
 
 
@@ -316,8 +312,9 @@ def test_large_switchover_comparator_values():
     )
     exh = SystemSpec(queues=queues, discipline=EXH, rho=0.5)
     gat = SystemSpec(queues=queues, discipline=GAT, rho=0.5)
-    assert math.isclose(mean_wait_large_s(exh).mean_wait[0], 7.5, rel_tol=1e-14)
-    assert math.isclose(mean_wait_large_s(gat).mean_wait[0], 12.5, rel_tol=1e-14)
+    large_s = Method.LARGE_S
+    assert math.isclose(mean_wait(exh, large_s).mean_wait[0], 7.5, rel_tol=1e-14)
+    assert math.isclose(mean_wait(gat, large_s).mean_wait[0], 12.5, rel_tol=1e-14)
 
 
 def test_pcl_rhs_hand_values():
@@ -346,7 +343,7 @@ def test_pcl_split_preserves_the_weighted_sum():
     for disc in (EXH, GAT):
         for _ in range(40):
             spec = random_system(rng, disc)
-            result = mean_wait_pcl_based(spec)
+            result = mean_wait(spec, Method.PCL_BASED)
             weighted = sum(
                 spec.rho * q.load_fraction * w
                 for q, w in zip(spec.queues, result.mean_wait)
@@ -356,33 +353,26 @@ def test_pcl_split_preserves_the_weighted_sum():
 
 def test_pcl_split_is_continuous_at_zero_load():
     spec = three_queue_mixed(EXH, rho=0.0)
-    at_zero = mean_wait_pcl_based(spec)
+    at_zero = mean_wait(spec, Method.PCL_BASED)
     assert all(w == 213 / 112 for w in at_zero.mean_wait)
-    near_zero = mean_wait_pcl_based(scale_to_load(spec, 1e-9))
+    near_zero = mean_wait(scale_to_load(spec, 1e-9), Method.PCL_BASED)
     for w in near_zero.mean_wait:
         assert abs(w - 213 / 112) <= 1e-6
 
 
-def test_method_dispatch_matches_direct_calls():
-    spec = three_queue_mixed(GAT, rho=0.7)
-    pairs = (
-        (Method.INTERPOLATION, mean_wait_interpolation),
-        (Method.LT_ONLY, mean_wait_lt_only),
-        (Method.HT_ONLY, mean_wait_ht_only),
-        (Method.LARGE_S, mean_wait_large_s),
-        (Method.PCL_BASED, mean_wait_pcl_based),
-    )
-    for method, func in pairs:
-        via_name = mean_wait(spec, method)
-        direct = func(spec)
-        assert via_name.method is method
-        assert via_name.mean_wait == direct.mean_wait
-        assert via_name.mean_queue_length == direct.mean_queue_length
+def test_every_method_carries_the_heavy_traffic_delay():
+    for disc in (EXH, GAT):
+        spec = three_queue_mixed(disc, rho=0.4)
+        for method in Method:
+            delays = mean_wait(spec, method).heavy_traffic_delay
+            assert len(delays) == spec.n
+            for got, omega in zip(delays, EXPECTED_HT_DELAY[disc]):
+                assert math.isclose(got, omega, rel_tol=1e-12)
 
 
 def test_queue_lengths_follow_occupancy_law():
     spec = three_queue_mixed(EXH, rho=0.6)
-    result = mean_wait_interpolation(spec)
+    result = mean_wait(spec, INTERP)
     for i, q in enumerate(spec.queues):
         expected = (
             0.6 * (result.mean_wait[i] + q.mean_service)
@@ -393,14 +383,16 @@ def test_queue_lengths_follow_occupancy_law():
 
 def test_result_metadata():
     spec = three_queue_mixed(EXH, rho=0.3)
-    interp = mean_wait_interpolation(spec)
+    interp = mean_wait(spec, INTERP)
     assert interp.rho == 0.3
     assert interp.constants is not None and len(interp.constants) == 3
-    assert mean_wait_ht_only(spec).constants is None
+    assert mean_wait(spec, Method.HT_ONLY).constants is None
+    for method in Method:
+        assert mean_wait(spec, method).method is method
 
 
 def test_zero_load_closed_forms_return_residual():
     spec = three_queue_mixed(EXH, rho=0.0)
-    result = mean_wait_interpolation(spec)
+    result = mean_wait(spec, INTERP)
     assert all(math.isclose(w, 213 / 112, rel_tol=1e-14) for w in result.mean_wait)
     assert all(x == 0.0 for x in result.mean_queue_length)

@@ -295,7 +295,17 @@ def test_sweep_row_counts(capsys):
 
 
 @pytest.mark.parametrize(
-    "grid", ["0.9:0.3:0.3", "0.1:0.5:0", "0.5:1.0:0.25", "0.5", "a:b:c"]
+    "grid",
+    [
+        "0.9:0.3:0.3",
+        "0.1:0.5:0",
+        "0.5:1.0:0.25",
+        "0.5",
+        "a:b:c",
+        "0:1e308:1e-308",
+        "0:nan:0.1",
+        "0:0.5:nan",
+    ],
 )
 def test_sweep_grid_rejections(capsys, grid):
     code, _, err = run(
@@ -303,6 +313,35 @@ def test_sweep_grid_rejections(capsys, grid):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, value, named",
+    [
+        ("sweep", "--rho-grid", "0:1e308:1e-308", "--rho-grid"),
+        ("sweep", "--rho-grid", "0:nan:0.1", "--rho-grid"),
+        ("sweep", "--rho-grid", "0:0.5:nan", "--rho-grid"),
+        ("sweep", "--seed", "-1", "seed"),
+        ("simulate", "--seed", "-1", "seed"),
+        ("testbed", "--seed", "-1", "seed"),
+    ],
+)
+def test_bad_option_value_names_the_option(
+    capsys, tmp_path, command, option, value, named
+):
+    if command == "sweep":
+        # A later --rho-grid replaces this one.
+        argv = ["sweep", "--preset", "three-queue", "--rho-grid", "0.5:0.5:1"]
+    elif command == "simulate":
+        argv = ["simulate", "--preset", "three-queue", "--cycles", "2000"]
+    else:
+        argv = ["testbed", "--discipline", "exhaustive", "--jobs", "1"]
+        argv += ["--out", str(tmp_path / "bed")]
+    code, out, err = run(capsys, *argv, option, value)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert named in err and value in err
 
 
 def test_sweep_unknown_method(capsys):
@@ -441,7 +480,8 @@ def test_testbed_unwritable_output(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "option, value", [("--reps", "0"), ("--target-samples", "-5")]
+    "option, value",
+    [("--reps", "0"), ("--target-samples", "-5"), ("--seed", "-1")],
 )
 def test_testbed_rejects_empty_run_sizes(capsys, tmp_path, option, value):
     out_dir = tmp_path / "bed"

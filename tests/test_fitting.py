@@ -13,7 +13,6 @@ from pollwait import (
     density_at_zero_two_moment_approx,
     fit_two_moments,
     realized_moments,
-    sample,
     sample_array,
 )
 
@@ -167,7 +166,7 @@ def test_deterministic_samples_are_constant():
 
 def test_single_sample_is_python_float():
     rng = np.random.default_rng(5)
-    value = sample(fit_two_moments(1.0, 1.0), rng)
+    value = sample_array(fit_two_moments(1.0, 1.0), rng, 1)[0]
     assert isinstance(value, float)
     assert value > 0.0
 

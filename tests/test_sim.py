@@ -13,8 +13,9 @@ from pollwait import (
     QueueSpec,
     SimConfig,
     SystemSpec,
+    Method,
     ZeroLoad,
-    mean_wait_interpolation,
+    mean_wait,
     simulate,
 )
 
@@ -232,7 +233,7 @@ def test_exhaustive_vacation_model_agreement():
         max_events=50_000_000,
     )
     estimate = simulate(spec, cfg)
-    exact = mean_wait_interpolation(spec).mean_wait[0]
+    exact = mean_wait(spec, Method.INTERPOLATION).mean_wait[0]
     assert math.isclose(exact, 17 / 6, rel_tol=1e-12)
     assert abs(estimate.mean_wait[0] - exact) <= 3.0 * estimate.ci_half_width[0]
     assert estimate.ci_half_width[0] < 0.2
@@ -253,7 +254,7 @@ def test_gated_vacation_model_agreement():
         max_events=50_000_000,
     )
     estimate = simulate(spec, cfg)
-    exact = mean_wait_interpolation(spec).mean_wait[0]
+    exact = mean_wait(spec, Method.INTERPOLATION).mean_wait[0]
     assert math.isclose(exact, 5.0, rel_tol=1e-12)
     assert abs(estimate.mean_wait[0] - exact) <= 3.0 * estimate.ci_half_width[0]
 
