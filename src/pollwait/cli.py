@@ -198,6 +198,9 @@ def spec_to_dict(spec: SystemSpec) -> dict:
     }
 
 
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_rho_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -218,13 +221,14 @@ def _parse_rho_grid(text: str) -> list[float]:
         raise SpecFileError(
             f"--rho-grid must have 0 <= start <= stop < 1, got {text!r}"
         )
-    try:
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    except OverflowError:
+    # Steps past the start; an infinite quotient fails the bound too.
+    steps = (stop - start) / step + 1e-9
+    if steps >= _MAX_GRID_POINTS:
         raise SpecFileError(
-            f"--rho-grid step {step!r} is too small for {text!r}"
-        ) from None
-    grid = [start + k * step for k in range(count)]
+            f"--rho-grid must have at most {_MAX_GRID_POINTS} points, "
+            f"got {text!r}"
+        )
+    grid = [start + k * step for k in range(int(steps) + 1)]
     for rho in grid:
         if not 0.0 <= rho < 1.0:
             raise SpecFileError(
@@ -258,13 +262,9 @@ _PRESETS = {
 
 
 def _resolve_spec(args, rho: Optional[float] = None) -> SystemSpec:
-    discipline = (
-        Discipline(args.discipline) if getattr(args, "discipline", None) else None
-    )
-    preset = getattr(args, "preset", None)
-    if preset is not None:
-        builder = _PRESETS[preset]
-        return builder(
+    discipline = Discipline(args.discipline) if args.discipline else None
+    if args.preset is not None:
+        return _PRESETS[args.preset](
             rho if rho is not None else 0.5,
             discipline or Discipline.EXHAUSTIVE,
         )
@@ -453,6 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Waiting-time analysis of cyclic polling systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The run flags of simulate and sweep default to SimConfig's defaults.
+    defaults = SimConfig()
 
     def add_spec_arguments(p, with_rho=True):
         p.add_argument("spec", nargs="?", help="system description JSON file")
@@ -507,19 +509,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sim-cycles", type=int, default=20_000)
     p.add_argument("--sim-reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=20260822)
+    p.add_argument("--seed", type=int, default=defaults.base_seed)
     p.add_argument("--max-events", type=int, default=200_000_000)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="discrete-event simulation, as JSON")
     add_spec_arguments(p)
-    p.add_argument("--cycles", type=int, default=100_000)
-    p.add_argument("--warmup", type=int, default=10_000)
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=20260822)
-    p.add_argument("--batches", type=int, default=20)
-    p.add_argument("--max-events", type=int, default=500_000_000)
+    p.add_argument("--cycles", type=int, default=defaults.measured_cycles)
+    p.add_argument("--warmup", type=int, default=defaults.warmup_cycles)
+    p.add_argument("--reps", type=int, default=defaults.replications)
+    p.add_argument("--seed", type=int, default=defaults.base_seed)
+    p.add_argument("--batches", type=int, default=defaults.batch_count)
+    p.add_argument("--max-events", type=int, default=defaults.max_events)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(

@@ -37,7 +37,6 @@ __all__ = [
     "realized_moments",
     "density_at_zero",
     "density_at_zero_two_moment_approx",
-    "sample",
     "sample_array",
 ]
 

@@ -53,10 +53,7 @@ __all__ = [
     "is_exact_case",
     "detect_exact_cases",
     "run_comparison",
-    "bin_table",
-    "mean_error_by",
-    "render_bin_table",
-    "render_mean_table",
+    "report_tables",
     "write_report_files",
     "report_to_csv",
     "report_from_csv",
@@ -285,9 +282,6 @@ class ErrorReport:
     def flagged(self) -> list[ErrorRecord]:
         return [r for r in self.records if r.flagged]
 
-    def for_method(self, method: Method) -> list[ErrorRecord]:
-        return [r for r in self.records if r.method is method]
-
     def mean_abs_error(
         self,
         method: Method,
@@ -296,49 +290,43 @@ class ErrorReport:
         """Mean absolute relative error in percent, optionally filtered."""
         errors = [
             abs(r.rel_err)
-            for r in self.for_method(method)
-            if predicate is None or predicate(r)
+            for r in self.records
+            if r.method is method and (predicate is None or predicate(r))
         ]
-        if not errors:
-            return math.nan
-        return 100.0 * sum(errors) / len(errors)
+        return _mean(errors)
+
+
+def _mean(errors: Sequence[float]) -> float:
+    # Mean of absolute relative errors, in percent; nan when there are none.
+    return 100.0 * sum(errors) / len(errors) if errors else math.nan
+
+
+def _abs_errors(
+    report: ErrorReport,
+    method: Method,
+    key: Callable[[TestBedCase], object] = lambda case: None,
+) -> dict[int, dict[object, list[float]]]:
+    # |rel_err| of the method's records by queue count, then by key(case)
+    # (by default one group keyed None), both levels in numeric order and
+    # each list in record order.
+    groups: dict[int, dict[object, list[float]]] = {}
+    for r in report.records:
+        if r.method is method:
+            by_key = groups.setdefault(r.case.n_queues, {})
+            by_key.setdefault(key(r.case), []).append(abs(r.rel_err))
+    return {n: dict(sorted(groups[n].items())) for n in sorted(groups)}
 
 
 _BIN_EDGES = (5.0, 10.0, 15.0, 20.0)
 _BIN_LABELS = ("0-5%", "5-10%", "10-15%", "15-20%", "20%+")
 
 
-def bin_table(
-    report: ErrorReport, method: Method
-) -> dict[int, tuple[float, ...]]:
-    """Share of absolute errors (percent) per 5%-wide bin, by queue count."""
-    by_n: dict[int, list[float]] = {}
-    for r in report.for_method(method):
-        by_n.setdefault(r.case.n_queues, []).append(100.0 * abs(r.rel_err))
-    table = {}
-    for n in sorted(by_n):
-        errors = by_n[n]
-        counts = [0] * (len(_BIN_EDGES) + 1)
-        for e in errors:
-            counts[bisect.bisect_right(_BIN_EDGES, e)] += 1
-        table[n] = tuple(100.0 * c / len(errors) for c in counts)
-    return table
-
-
-def mean_error_by(
-    report: ErrorReport,
-    method: Method,
-    key: Callable[[TestBedCase], object],
-) -> dict[int, dict[object, float]]:
-    """Mean absolute error (percent) by queue count and a case facet."""
-    sums: dict[tuple[int, object], list[float]] = {}
-    for r in report.for_method(method):
-        k = (r.case.n_queues, key(r.case))
-        sums.setdefault(k, []).append(abs(r.rel_err))
-    table: dict[int, dict[object, float]] = {}
-    for (n, facet), errors in sorted(sums.items(), key=lambda kv: str(kv[0])):
-        table.setdefault(n, {})[facet] = 100.0 * sum(errors) / len(errors)
-    return table
+def _bin_shares(errors: list[float]) -> tuple[float, ...]:
+    # Share of the errors (percent) in each 5%-wide bin of 100 * error.
+    counts = [0] * (len(_BIN_EDGES) + 1)
+    for e in errors:
+        counts[bisect.bisect_right(_BIN_EDGES, 100.0 * e)] += 1
+    return tuple(100.0 * c / len(errors) for c in counts)
 
 
 FACETS: dict[str, Callable[[TestBedCase], object]] = {
@@ -496,17 +484,27 @@ def run_comparison(
 _Table = tuple[list[str], dict[int, Sequence[float]], int]
 
 
-def _binned(report: ErrorReport, method: Method) -> _Table:
-    return list(_BIN_LABELS), bin_table(report, method), 8
+def report_tables(report: ErrorReport, method: Method) -> dict[str, _Table]:
+    """Every table of one method's absolute errors, by file stem.
 
-
-def _by_facet(report: ErrorReport, method: Method, facet: str) -> _Table:
-    table = mean_error_by(report, method, FACETS[facet])
-    columns = sorted({key for row in table.values() for key in row}, key=str)
-    rows = {
-        n: [row.get(c, math.nan) for c in columns] for n, row in table.items()
-    }
-    return [str(c) for c in columns], rows, 16
+    ``errors_binned`` gives the share of errors (percent) in each 5%-wide
+    bin; ``mean_error_by_<facet>`` the mean absolute error (percent) for
+    each value of the facet, ``nan`` where no case has it.  Rows are queue
+    counts and columns facet values, both in numeric order.
+    """
+    binned = _abs_errors(report, method)
+    shares = {n: _bin_shares(row[None]) for n, row in binned.items()}
+    tables = {"errors_binned": (list(_BIN_LABELS), shares, 8)}
+    for facet, key in FACETS.items():
+        groups = _abs_errors(report, method, key)
+        columns = sorted({c for row in groups.values() for c in row})
+        rows = {
+            n: [_mean(row.get(c, ())) for c in columns]
+            for n, row in groups.items()
+        }
+        labels = [str(c) for c in columns]
+        tables[f"mean_error_by_{facet}"] = (labels, rows, 16)
+    return tables
 
 
 def _text(table: _Table) -> str:
@@ -524,18 +522,6 @@ def _csv(table: _Table) -> str:
     for n, row in rows.items():
         lines.append(f"{n}," + ",".join(repr(v) for v in row))
     return "\n".join(lines)
-
-
-def render_bin_table(report: ErrorReport, method: Method) -> str:
-    """Aligned-text table of binned absolute errors by queue count."""
-    return _text(_binned(report, method))
-
-
-def render_mean_table(
-    report: ErrorReport, method: Method, facet: str
-) -> str:
-    """Aligned-text table of mean absolute errors by queue count x facet."""
-    return _text(_by_facet(report, method, facet))
 
 
 def _cell_codec(kind: type) -> tuple[Callable, Callable]:
@@ -617,14 +603,10 @@ def summary_lines(report: ErrorReport) -> list[str]:
     ]
     counts = sorted({r.case.n_queues for r in report.records})
     for method in report.methods:
-        per_n = [
-            report.mean_abs_error(
-                method, lambda r, n=n: r.case.n_queues == n
-            )
-            for n in counts
-        ]
+        by_n = _abs_errors(report, method)
+        means = {n: _mean(row[None]) for n, row in by_n.items()}
         cells = ", ".join(
-            f"N={n}: {v:.2f}%" for n, v in zip(counts, per_n)
+            f"N={n}: {means.get(n, math.nan):.2f}%" for n in counts
         )
         lines.append(f"{method.value}: mean abs error {cells}")
     return lines
@@ -652,13 +634,9 @@ def write_report_files(report: ErrorReport, outdir: str) -> list[str]:
 
     for method in report.methods:
         slug = method.value.replace("-", "_")
-        tables = {f"errors_binned_{slug}": _binned(report, method)}
-        for facet in FACETS:
-            table = _by_facet(report, method, facet)
-            tables[f"mean_error_by_{facet}_{slug}"] = table
-        for name, table in tables.items():
-            emit(f"{name}.txt", _text(table))
-            emit(f"{name}.csv", _csv(table))
+        for stem, table in report_tables(report, method).items():
+            emit(f"{stem}_{slug}.txt", _text(table))
+            emit(f"{stem}_{slug}.csv", _csv(table))
     return written
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end via ``main(argv)``."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pollwait
 from pollwait import (
     Discipline,
     Method,
+    SimConfig,
     mean_wait,
     scale_to_load,
     three_queue_demo_spec,
@@ -305,6 +307,7 @@ def test_sweep_row_counts(capsys):
         "0:1e308:1e-308",
         "0:nan:0.1",
         "0:0.5:nan",
+        "0:0.5:1e-300",
     ],
 )
 def test_sweep_grid_rejections(capsys, grid):
@@ -321,6 +324,7 @@ def test_sweep_grid_rejections(capsys, grid):
         ("sweep", "--rho-grid", "0:1e308:1e-308", "--rho-grid"),
         ("sweep", "--rho-grid", "0:nan:0.1", "--rho-grid"),
         ("sweep", "--rho-grid", "0:0.5:nan", "--rho-grid"),
+        ("sweep", "--rho-grid", "0:0.5:1e-300", "--rho-grid"),
         ("sweep", "--seed", "-1", "seed"),
         ("simulate", "--seed", "-1", "seed"),
         ("testbed", "--seed", "-1", "seed"),
@@ -422,6 +426,16 @@ def test_simulate_json_and_determinism(capsys):
     code, out2, _ = run(capsys, *argv)
     assert code == 0
     assert out2 == out
+
+
+def test_simulate_defaults_are_sim_config_defaults(capsys):
+    code, out, _ = run(
+        capsys, "simulate", "--preset", "three-queue", "--rho", "0.5"
+    )
+    assert code == 0
+    expected = dataclasses.asdict(SimConfig())
+    del expected["max_events"]
+    assert json.loads(out)["config"] == expected
 
 
 def test_simulate_bad_run_config_is_invalid(capsys):

@@ -1,7 +1,9 @@
 """The package's public names, pinned so that any change shows in a diff."""
 
+import pytest
+
 import pollwait
-from pollwait import approx
+from pollwait import approx, testbed
 
 PUBLIC_NAMES = [
     "DegenerateLoad",
@@ -65,3 +67,43 @@ def test_closed_forms_have_one_estimator_entry_point():
         "pcl_residual",
         "pcl_rhs",
     ]
+
+
+def test_report_tables_replace_the_table_helpers():
+    assert sorted(testbed.__all__) == [
+        "ErrorRecord",
+        "ErrorReport",
+        "TestBedCase",
+        "detect_exact_cases",
+        "high_variation_poisson_bed",
+        "is_exact_case",
+        "materialize_case",
+        "poisson_bed",
+        "report_from_csv",
+        "report_tables",
+        "report_to_csv",
+        "run_comparison",
+        "sampled_bed",
+        "standard_bed",
+        "three_queue_demo_spec",
+        "two_queue_small_switchover_spec",
+        "write_report_files",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "pollwait",
+        "pollwait.approx",
+        "pollwait.errors",
+        "pollwait.fitting",
+        "pollwait.model",
+        "pollwait.sim",
+        "pollwait.testbed",
+    ],
+)
+def test_star_import_resolves_every_public_name(module):
+    # A star import raises AttributeError on any name in __all__ that the
+    # module does not define.
+    exec(f"from {module} import *", {})

@@ -23,12 +23,9 @@ from pollwait.sim import SimConfig
 from pollwait.testbed import (
     ErrorRecord,
     ErrorReport,
-    bin_table,
     high_variation_poisson_bed,
-    mean_error_by,
-    render_bin_table,
-    render_mean_table,
     report_from_csv,
+    report_tables,
     report_to_csv,
     run_comparison,
     summary_lines,
@@ -221,9 +218,11 @@ def test_rejects_unknown_oracle():
         run_comparison(SMOKE_CASES, (Method.INTERPOLATION,), EXH, oracle="exact")
 
 
-def synthetic_report():
-    case = TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    errors = (0.049, 0.05, 0.099, 0.10, 0.15, 0.21)
+def synthetic_report(cases_and_errors=None):
+    if cases_and_errors is None:
+        case = TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        errors = (0.049, 0.05, 0.099, 0.10, 0.15, 0.21)
+        cases_and_errors = [(case, e) for e in errors]
     records = [
         ErrorRecord(
             case_index=i,
@@ -237,7 +236,7 @@ def synthetic_report():
             rel_err=e,
             flagged=False,
         )
-        for i, e in enumerate(errors)
+        for i, (case, e) in enumerate(cases_and_errors)
     ]
     return ErrorReport(
         discipline=EXH, methods=(Method.INTERPOLATION,), records=records
@@ -245,8 +244,9 @@ def synthetic_report():
 
 
 def test_bin_table_edges():
-    table = bin_table(synthetic_report(), Method.INTERPOLATION)
-    shares = table[2]
+    tables = report_tables(synthetic_report(), Method.INTERPOLATION)
+    _, rows, _ = tables["errors_binned"]
+    shares = rows[2]
     np.testing.assert_allclose(
         shares, (100 / 6, 2 * 100 / 6, 100 / 6, 100 / 6, 100 / 6), rtol=1e-12
     )
@@ -266,8 +266,10 @@ def test_mean_abs_error_and_facets():
         rel_tol=1e-12,
     )
     assert math.isnan(report.mean_abs_error(Method.HT_ONLY))
-    by_load = mean_error_by(report, Method.INTERPOLATION, lambda c: c.rho)
-    assert set(by_load[2]) == {0.5}
+    columns, rows, _ = report_tables(report, Method.INTERPOLATION)[
+        "mean_error_by_load"
+    ]
+    assert columns == ["0.5"] and list(rows) == [2]
 
 
 def test_csv_round_trip(tmp_path):
@@ -311,12 +313,40 @@ def test_write_report_files(tmp_path):
     assert any("interpolation" in line for line in lines)
 
 
-def test_render_tables():
-    report = synthetic_report()
-    binned = render_bin_table(report, Method.INTERPOLATION)
+def test_render_tables(tmp_path):
+    write_report_files(synthetic_report(), str(tmp_path))
+    binned = (tmp_path / "errors_binned_interpolation.txt").read_text()
     assert "0-5%" in binned and "20%+" in binned
-    by_load = render_mean_table(report, Method.INTERPOLATION, "load")
+    by_load = (tmp_path / "mean_error_by_load_interpolation.txt").read_text()
     assert "queues" in by_load and "0.5" in by_load
+
+
+def test_report_rows_and_columns_in_numeric_order(tmp_path):
+    # Text order would put N=10 before N=2 and scv 10.0 before 2.0.
+    cases_and_errors = [
+        (TestBedCase(n, 0.5, scv, 1.0, 1.0, 1.0, 1.0, 1.0), 0.01 * n * scv)
+        for n in (10, 2)
+        for scv in (10.0, 2.0)
+    ]
+    report = synthetic_report(cases_and_errors)
+    write_report_files(report, str(tmp_path))
+    summary = (tmp_path / "summary.txt").read_text()
+    assert summary.index("N=2:") < summary.index("N=10:")
+    stems = [
+        "errors_binned",
+        "mean_error_by_load",
+        "mean_error_by_interarrival_scv",
+        "mean_error_by_imbalance",
+    ]
+    for stem in stems:
+        csv_text = (tmp_path / f"{stem}_interpolation.csv").read_text()
+        _, *rows = csv_text.splitlines()
+        assert [row.split(",")[0] for row in rows] == ["2", "10"], stem
+    scv_csv = tmp_path / "mean_error_by_interarrival_scv_interpolation.csv"
+    header, *rows = scv_csv.read_text().splitlines()
+    assert header == "queues,2.0,10.0"
+    values = [[float(v) for v in row.split(",")[1:]] for row in rows]
+    np.testing.assert_allclose(values, [[4.0, 20.0], [20.0, 100.0]], rtol=1e-12)
 
 
 def test_three_queue_demo_spec():
