@@ -16,17 +16,7 @@ from .approx import (
     pcl_residual,
     pcl_rhs,
 )
-from .errors import (
-    DegenerateLoad,
-    InvalidMoment,
-    LoadOutOfRange,
-    NumericalBudget,
-    PollingModelError,
-    SpecFileError,
-    UnnormalizedLoads,
-    ZeroLoad,
-    ZeroTotalSwitchover,
-)
+from .errors import InvalidInput, NumericalBudget, PollingModelError
 from .fitting import (
     DistKind,
     FittedDistribution,

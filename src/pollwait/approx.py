@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .errors import DegenerateLoad
+from .errors import InvalidInput
 from .model import (
     DerivedMoments,
     Discipline,
@@ -229,7 +229,7 @@ class _System:
         loads = tuple(rho * f for f in self.dm.load_fractions)
         denom = sum(x * (1.0 + self.sign * x) for x in loads)
         if denom <= 0.0:
-            raise DegenerateLoad(
+            raise InvalidInput(
                 f"load-weighted split denominator is {denom!r} at rho={rho!r}"
             )
         cycle_residual = self.pcl_rhs(rho) / denom

@@ -14,8 +14,8 @@ System descriptions are JSON files with a ``version`` field (currently
 ``"v1"``), a ``discipline``, an optional ``rho``, and a list of queues in
 visit order.  Unknown fields and non-finite numbers are rejected.
 
-Exit codes: 0 success, 2 invalid input, 3 computational budget exceeded,
-4 I/O failure.
+Exit codes: 0 success, 2 ``InvalidInput``, 3 ``NumericalBudget``, 4
+``OSError``; any other exception is a program fault and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .approx import Method, mean_wait, pcl_residual, pcl_rhs
-from .errors import NumericalBudget, PollingModelError, SpecFileError
+from .errors import InvalidInput, NumericalBudget
 # derive_moments is not called here; it stays a module attribute because
 # bench/tracer.py wraps it by name.
 from .model import (
@@ -75,18 +76,18 @@ _EXIT_IO = 4
 
 
 def _reject_constant(_value: str) -> float:
-    raise SpecFileError("non-finite numbers are not allowed")
+    raise InvalidInput("non-finite numbers are not allowed")
 
 
 def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecFileError(f"{label} must be a number, got {value!r}")
+        raise InvalidInput(f"{label} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
-        raise SpecFileError(f"{label} is too large for a float") from None
+        raise InvalidInput(f"{label} is too large for a float") from None
     if not math.isfinite(number):
-        raise SpecFileError(f"{label} must be finite, got {value!r}")
+        raise InvalidInput(f"{label} must be finite, got {value!r}")
     return number
 
 
@@ -94,7 +95,7 @@ def _choice(kind: type[Enum], value, label: str) -> Enum:
     try:
         return kind(value)
     except ValueError:
-        raise SpecFileError(
+        raise InvalidInput(
             f"{label} must be one of {[m.value for m in kind]}, got {value!r}"
         ) from None
 
@@ -112,16 +113,18 @@ def load_spec_file(
     with open(path) as handle:
         try:
             data = json.load(handle, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise SpecFileError(f"{path}: not valid JSON: {exc}") from exc
+        # Besides JSONDecodeError: bytes that are not text, an integer
+        # past int's digit limit, and nesting past the recursion limit.
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
 
     if not isinstance(data, dict):
-        raise SpecFileError(f"{path}: top level must be an object")
+        raise InvalidInput(f"{path}: top level must be an object")
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
-        raise SpecFileError(f"{path}: unknown fields {sorted(unknown)}")
+        raise InvalidInput(f"{path}: unknown fields {sorted(unknown)}")
     if data.get("version") != SCHEMA_VERSION:
-        raise SpecFileError(
+        raise InvalidInput(
             f"{path}: version must be {SCHEMA_VERSION!r}, got "
             f"{data.get('version')!r}"
         )
@@ -133,27 +136,27 @@ def load_spec_file(
 
     if rho is None:
         if "rho" not in data:
-            raise SpecFileError(
+            raise InvalidInput(
                 f"{path}: no rho in file and none given on the command line"
             )
         rho = _number(data["rho"], f"{path}: rho")
 
     raw_queues = data.get("queues")
     if not isinstance(raw_queues, list) or not raw_queues:
-        raise SpecFileError(f"{path}: queues must be a non-empty list")
+        raise InvalidInput(f"{path}: queues must be a non-empty list")
     queues = []
     for pos, entry in enumerate(raw_queues):
         label = f"queues[{pos}]"
         if not isinstance(entry, dict):
-            raise SpecFileError(f"{path}: {label} must be an object")
+            raise InvalidInput(f"{path}: {label} must be an object")
         unknown = set(entry) - _QUEUE_KEYS
         if unknown:
-            raise SpecFileError(
+            raise InvalidInput(
                 f"{path}: {label} has unknown fields {sorted(unknown)}"
             )
         missing = [key for key in _QUEUE_REQUIRED if key not in entry]
         if missing:
-            raise SpecFileError(
+            raise InvalidInput(
                 f"{path}: {label} is missing fields {sorted(missing)}"
             )
         kwargs = {
@@ -172,12 +175,12 @@ def load_spec_file(
             )
         try:
             queues.append(QueueSpec(**kwargs))
-        except PollingModelError as exc:
-            raise SpecFileError(f"{path}: {label}: {exc}") from exc
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: {label}: {exc}") from exc
     try:
         return SystemSpec(queues=tuple(queues), discipline=discipline, rho=rho)
-    except PollingModelError as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def spec_to_dict(spec: SystemSpec) -> dict:
@@ -204,34 +207,34 @@ _MAX_GRID_POINTS = 100_000
 def _parse_rho_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise SpecFileError(
+        raise InvalidInput(
             f"--rho-grid must be start:stop:step, got {text!r}"
         )
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise SpecFileError(
+        raise InvalidInput(
             f"--rho-grid must contain numbers, got {text!r}"
         ) from None
     if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise SpecFileError(f"--rho-grid must be finite, got {text!r}")
+        raise InvalidInput(f"--rho-grid must be finite, got {text!r}")
     if step <= 0.0:
-        raise SpecFileError(f"--rho-grid step must be positive, got {step!r}")
+        raise InvalidInput(f"--rho-grid step must be positive, got {step!r}")
     if not 0.0 <= start <= stop < 1.0:
-        raise SpecFileError(
+        raise InvalidInput(
             f"--rho-grid must have 0 <= start <= stop < 1, got {text!r}"
         )
     # Steps past the start; an infinite quotient fails the bound too.
     steps = (stop - start) / step + 1e-9
     if steps >= _MAX_GRID_POINTS:
-        raise SpecFileError(
+        raise InvalidInput(
             f"--rho-grid must have at most {_MAX_GRID_POINTS} points, "
             f"got {text!r}"
         )
     grid = [start + k * step for k in range(int(steps) + 1)]
     for rho in grid:
         if not 0.0 <= rho < 1.0:
-            raise SpecFileError(
+            raise InvalidInput(
                 f"--rho-grid value {rho!r} outside [0, 1)"
             )
     return grid
@@ -246,12 +249,12 @@ def _parse_methods(text: str) -> list[Method]:
         try:
             methods.append(Method(token))
         except ValueError:
-            raise SpecFileError(
+            raise InvalidInput(
                 f"unknown method {token!r}; choose from "
                 f"{[m.value for m in Method]}"
             ) from None
     if not methods:
-        raise SpecFileError("--methods must name at least one method")
+        raise InvalidInput("--methods must name at least one method")
     return methods
 
 
@@ -262,14 +265,14 @@ _PRESETS = {
 
 
 def _resolve_spec(args, rho: Optional[float] = None) -> SystemSpec:
+    if (args.spec is None) == (args.preset is None):
+        raise InvalidInput("give either a spec file or --preset, not both")
     discipline = Discipline(args.discipline) if args.discipline else None
     if args.preset is not None:
         return _PRESETS[args.preset](
             rho if rho is not None else 0.5,
             discipline or Discipline.EXHAUSTIVE,
         )
-    if args.spec is None:
-        raise SpecFileError("either a spec file or --preset is required")
     return load_spec_file(args.spec, rho=rho, discipline=discipline)
 
 
@@ -453,8 +456,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Waiting-time analysis of cyclic polling systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # The run flags of simulate and sweep default to SimConfig's defaults.
+    # The run flags of simulate and sweep default to SimConfig's defaults,
+    # and those of testbed to run_comparison's.
     defaults = SimConfig()
+    bed_defaults = {
+        name: param.default
+        for name, param in inspect.signature(run_comparison).parameters.items()
+    }
 
     def add_spec_arguments(p, with_rho=True):
         p.add_argument("spec", nargs="?", help="system description JSON file")
@@ -541,14 +549,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated method names",
     )
     p.add_argument("--jobs", type=int, help="worker processes")
-    p.add_argument("--seed", type=int, default=777)
+    p.add_argument("--seed", type=int, default=bed_defaults["base_seed"])
     p.add_argument(
         "--target-samples",
         type=int,
-        default=400_000,
+        default=bed_defaults["target_customers"],
         help="waiting-time samples per case",
     )
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=int, default=bed_defaults["replications"])
     p.set_defaults(func=_cmd_testbed)
 
     p = sub.add_parser(
@@ -576,7 +584,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalBudget as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET
-    except (PollingModelError, ValueError) as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
     except OSError as exc:

@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
-Validation failures raise a specific subclass of :class:`PollingModelError`
-so that callers (and the command line front end) can map them to exit codes
-without string matching.
+Every rejected input, whether a system description, a run configuration,
+a spec file or a command-line value, raises :class:`InvalidInput` with a
+message that names what is wrong.  It is a :class:`ValueError`, so
+callers that catch ``ValueError`` keep working.  A simulation whose event
+budget would be exceeded raises :class:`NumericalBudget`.
+
+The command line maps ``InvalidInput`` to exit code 2, ``NumericalBudget``
+to 3 and ``OSError`` to 4.  Any other exception is a program fault and
+shows its traceback.
 """
 
 
@@ -10,33 +16,9 @@ class PollingModelError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidMoment(PollingModelError):
-    """A mean or squared coefficient of variation is out of range."""
-
-
-class LoadOutOfRange(PollingModelError):
-    """Total offered load must satisfy 0 <= rho < 1."""
-
-
-class UnnormalizedLoads(PollingModelError):
-    """Per-queue load fractions must sum to one at saturation."""
-
-
-class ZeroTotalSwitchover(PollingModelError):
-    """At least one switch-over time must have a positive mean."""
-
-
-class ZeroLoad(PollingModelError):
-    """Operation requires a strictly positive load."""
-
-
-class DegenerateLoad(PollingModelError):
-    """A load-weighted denominator vanished where it must not."""
+class InvalidInput(PollingModelError, ValueError):
+    """An input is malformed or out of range; the message says which."""
 
 
 class NumericalBudget(PollingModelError):
     """The simulation exceeded its configured event budget."""
-
-
-class SpecFileError(PollingModelError):
-    """A system description file failed schema validation."""

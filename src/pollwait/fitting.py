@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidMoment
+from .errors import InvalidInput
 
 __all__ = [
     "DistKind",
@@ -91,13 +91,13 @@ def fit_two_moments(mean: float, scv: float) -> FittedDistribution:
 
     Raises
     ------
-    InvalidMoment
+    InvalidInput
         If either target is out of range.
     """
     if not (math.isfinite(mean) and mean > 0.0):
-        raise InvalidMoment(f"mean must be positive and finite, got {mean!r}")
+        raise InvalidInput(f"mean must be positive and finite, got {mean!r}")
     if not (math.isfinite(scv) and scv >= 0.0):
-        raise InvalidMoment(f"scv must be >= 0 and finite, got {scv!r}")
+        raise InvalidInput(f"scv must be >= 0 and finite, got {scv!r}")
 
     if scv == 0.0:
         return FittedDistribution(DistKind.DETERMINISTIC, mean, 0.0)
@@ -183,7 +183,7 @@ def density_at_zero_two_moment_approx(scv: float) -> float:
     rule for any scv >= 1.
     """
     if not (math.isfinite(scv) and scv >= 0.0):
-        raise InvalidMoment(f"scv must be >= 0 and finite, got {scv!r}")
+        raise InvalidInput(f"scv must be >= 0 and finite, got {scv!r}")
     if scv > 1.0:
         return _h2_normalized_density(scv)
     return scv**4

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import (
-    InvalidMoment,
-    LoadOutOfRange,
-    UnnormalizedLoads,
-    ZeroTotalSwitchover,
-)
+from .errors import InvalidInput
 from .fitting import (
     density_at_zero,
     density_at_zero_two_moment_approx,
@@ -71,9 +66,9 @@ class DensityMode(Enum):
     USER_VALUE = "user-value"
 
 
-def _require(cond: bool, exc: type, msg: str) -> None:
+def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise exc(msg)
+        raise InvalidInput(msg)
 
 
 def _finite(x: float) -> bool:
@@ -114,26 +109,28 @@ class QueueSpec:
     def __post_init__(self) -> None:
         _require(
             _finite(self.mean_service) and self.mean_service > 0.0,
-            InvalidMoment,
             f"mean_service must be positive, got {self.mean_service!r}",
         )
         _require(
             _finite(self.mean_interarrival_at_saturation)
             and self.mean_interarrival_at_saturation > 0.0,
-            InvalidMoment,
             "mean_interarrival_at_saturation must be positive, got "
             f"{self.mean_interarrival_at_saturation!r}",
         )
         _require(
+            self.load_fraction > 0.0,
+            "load fraction mean_service / mean_interarrival_at_saturation "
+            f"must be positive, got {self.mean_service!r} / "
+            f"{self.mean_interarrival_at_saturation!r}",
+        )
+        _require(
             _finite(self.mean_switchover) and self.mean_switchover >= 0.0,
-            InvalidMoment,
             f"mean_switchover must be >= 0, got {self.mean_switchover!r}",
         )
         for label in ("scv_service", "scv_interarrival", "scv_switchover"):
             value = getattr(self, label)
             _require(
                 _finite(value) and value >= 0.0,
-                InvalidMoment,
                 f"{label} must be >= 0 and finite, got {value!r}",
             )
 
@@ -144,32 +141,27 @@ class QueueSpec:
                 self.density_value is not None
                 and _finite(self.density_value)
                 and self.density_value >= 0.0,
-                InvalidMoment,
                 "density_value must be a finite value >= 0 with "
                 f"USER_VALUE, got {self.density_value!r}",
             )
         else:
             _require(
                 self.density_value is None,
-                InvalidMoment,
                 "density_value is only allowed with DensityMode.USER_VALUE",
             )
         if mode is DensityMode.EXACT_H2:
             _require(
                 scv_a > 1.0,
-                InvalidMoment,
                 f"EXACT_H2 requires scv_interarrival > 1, got {scv_a!r}",
             )
         elif mode is DensityMode.EXACT_EXPONENTIAL:
             _require(
                 scv_a == 1.0,
-                InvalidMoment,
                 f"EXACT_EXPONENTIAL requires scv_interarrival == 1, got {scv_a!r}",
             )
         elif mode is DensityMode.EXACT_MIXED_ERLANG:
             _require(
                 0.0 < scv_a <= 1.0,
-                InvalidMoment,
                 "EXACT_MIXED_ERLANG requires 0 < scv_interarrival <= 1, "
                 f"got {scv_a!r}",
             )
@@ -210,25 +202,18 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "queues", tuple(self.queues))
-        _require(
-            len(self.queues) >= 1,
-            InvalidMoment,
-            "a system needs at least one queue",
-        )
+        _require(len(self.queues) >= 1, "a system needs at least one queue")
         _require(
             _finite(self.rho) and 0.0 <= self.rho < 1.0,
-            LoadOutOfRange,
             f"rho must satisfy 0 <= rho < 1, got {self.rho!r}",
         )
         total = sum(q.load_fraction for q in self.queues)
         _require(
             abs(total - 1.0) <= LOAD_FRACTION_TOL,
-            UnnormalizedLoads,
             f"load fractions must sum to 1, got {total!r}",
         )
         _require(
             any(q.mean_switchover > 0.0 for q in self.queues),
-            ZeroTotalSwitchover,
             "at least one switch-over time must have a positive mean",
         )
 
@@ -314,7 +299,7 @@ def derive_moments(spec: SystemSpec) -> DerivedMoments:
 
     Raises
     ------
-    InvalidMoment
+    InvalidInput
         If a moment aggregate overflows a float.
     """
     try:
@@ -328,7 +313,7 @@ def derive_moments(spec: SystemSpec) -> DerivedMoments:
         + dm.heavy_traffic_variance
         + sum(dm.service_residuals)
     ):
-        raise InvalidMoment("moment aggregates overflow a float")
+        raise InvalidInput("moment aggregates overflow a float")
     return dm
 
 

@@ -39,7 +39,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import NumericalBudget, ZeroLoad
+from .errors import InvalidInput, NumericalBudget
 from .fitting import (
     DistKind,
     FittedDistribution,
@@ -73,20 +73,20 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.warmup_cycles < 0:
-            raise ValueError("warmup_cycles must be >= 0")
+            raise InvalidInput("warmup_cycles must be >= 0")
         if self.batch_count < 2:
-            raise ValueError("batch_count must be >= 2")
+            raise InvalidInput("batch_count must be >= 2")
         if self.measured_cycles < 100 * self.batch_count:
-            raise ValueError(
+            raise InvalidInput(
                 "measured_cycles must be >= 100 * batch_count, got "
                 f"{self.measured_cycles} with batch_count={self.batch_count}"
             )
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise InvalidInput("replications must be >= 1")
         if self.max_events <= 0:
-            raise ValueError("max_events must be positive")
+            raise InvalidInput("max_events must be positive")
         if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+            raise InvalidInput(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -256,13 +256,13 @@ def simulate(
 
     Raises
     ------
-    ZeroLoad
+    InvalidInput
         If ``spec.rho == 0`` (no arrivals to observe).
     NumericalBudget
         If the run would exceed, or exceeds, ``cfg.max_events``.
     """
     if spec.rho == 0.0:
-        raise ZeroLoad("simulation requires rho > 0")
+        raise InvalidInput("simulation requires rho > 0")
     expected = _expected_events(spec, cfg)
     if expected > cfg.max_events:
         raise NumericalBudget(

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .approx import Method, mean_wait
-from .errors import InvalidMoment
+from .errors import InvalidInput
 from .model import (
     Discipline,
     QueueSpec,
@@ -89,16 +89,16 @@ class TestBedCase:
 
     def __post_init__(self) -> None:
         if self.n_queues < 1:
-            raise InvalidMoment(f"n_queues must be >= 1, got {self.n_queues}")
+            raise InvalidInput(f"n_queues must be >= 1, got {self.n_queues}")
         if not 0.0 < self.rho < 1.0:
-            raise InvalidMoment(f"rho must be in (0, 1), got {self.rho!r}")
+            raise InvalidInput(f"rho must be in (0, 1), got {self.rho!r}")
         for label in ("scv_interarrival", "scv_service", "scv_switchover"):
             if getattr(self, label) < 0.0:
-                raise InvalidMoment(f"{label} must be >= 0")
+                raise InvalidInput(f"{label} must be >= 0")
         if self.imbalance_interarrival < 1.0 or self.imbalance_service < 1.0:
-            raise InvalidMoment("imbalance ratios must be >= 1")
+            raise InvalidInput("imbalance ratios must be >= 1")
         if self.switchover_service_ratio <= 0.0:
-            raise InvalidMoment("switchover_service_ratio must be positive")
+            raise InvalidInput("switchover_service_ratio must be positive")
 
 
 # Each grid maps every field of TestBedCase to the values it takes.  The
@@ -448,14 +448,14 @@ def run_comparison(
     ErrorReport
     """
     if oracle != "simulation":
-        raise ValueError(f"unsupported oracle {oracle!r}")
+        raise InvalidInput(f"unsupported oracle {oracle!r}")
     if replications < 1 or target_customers < 1:
-        raise ValueError(
+        raise InvalidInput(
             "replications and target samples must be >= 1, got "
             f"{replications} and {target_customers}"
         )
     if base_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {base_seed}")
+        raise InvalidInput(f"seed must be >= 0, got {base_seed}")
     methods = tuple(methods)
     run_case = functools.partial(
         _run_case,
@@ -587,7 +587,7 @@ def report_from_csv(path: str) -> ErrorReport:
             values[_CASE_COLUMNS] = [TestBedCase(*values[_CASE_COLUMNS])]
             records.append(ErrorRecord(*values))
     if not records:
-        raise ValueError(f"no records in {path}")
+        raise InvalidInput(f"no records in {path}")
     return ErrorReport(
         discipline=records[-1].discipline,
         methods=tuple(dict.fromkeys(r.method for r in records)),

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from pollwait.errors import NumericalBudget, ZeroLoad
+from pollwait.errors import InvalidInput, NumericalBudget
 from pollwait.fitting import FittedDistribution
 from pollwait.model import Discipline, SystemSpec
 from pollwait.sim import (
@@ -150,7 +150,7 @@ def simulate(
     appended to it; it grows with every simulated event.
     """
     if spec.rho == 0.0:
-        raise ZeroLoad("simulation requires rho > 0")
+        raise InvalidInput("simulation requires rho > 0")
     expected = _expected_events(spec, cfg)
     if expected > cfg.max_events:
         raise NumericalBudget(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end via ``main(argv)``."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -15,10 +16,12 @@ from pollwait import (
     Method,
     SimConfig,
     mean_wait,
+    run_comparison,
     scale_to_load,
     three_queue_demo_spec,
 )
 from pollwait.cli import (
+    _build_parser,
     _format_float,
     _parse_rho_grid,
     load_spec_file,
@@ -152,6 +155,19 @@ def test_analyze_without_spec_or_preset(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep", "simulate"])
+def test_spec_file_and_preset_together_are_invalid(capsys, tmp_path, command):
+    path = write_spec(tmp_path, demo_dict())
+    argv = [command, path, "--preset", "three-queue"]
+    if command == "sweep":
+        argv += ["--rho-grid", "0.3:0.3:1", "--no-sim"]
+    elif command == "simulate":
+        argv += ["--rho", "0.3", "--cycles", "2000", "--reps", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: give either a spec file or --preset, not both\n"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -230,6 +246,18 @@ def test_analyze_rejects_overflowing_moments(capsys, tmp_path, fields):
     assert err == "error: moment aggregates overflow a float\n"
 
 
+def _plain_queue(mean_service):
+    # A v1 queue entry with interarrival mean 2 and every other moment 1.
+    return dict(
+        mean_service=mean_service,
+        scv_service=1.0,
+        mean_interarrival_at_saturation=2.0,
+        scv_interarrival=1.0,
+        mean_switchover=1.0,
+        scv_switchover=1.0,
+    )
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -245,8 +273,20 @@ def test_analyze_rejects_overflowing_moments(capsys, tmp_path, fields):
             lambda d: d["queues"][1].update(density_value="z"),
             "queues[1].density_value must be a number, got 'z'",
         ),
+        (
+            # Fractions 1.0 and 0.0 sum to one, but the second is empty.
+            lambda d: d.update(
+                queues=[
+                    _plain_queue(mean_service=1.0),
+                    _plain_queue(mean_service=5e-324),
+                ]
+            ),
+            "queues[1]: load fraction mean_service / "
+            "mean_interarrival_at_saturation must be positive, "
+            "got 5e-324 / 2.0",
+        ),
     ],
-    ids=["queue", "system", "number"],
+    ids=["queue", "system", "number", "zero-load-fraction"],
 )
 def test_spec_file_errors_name_the_file(capsys, tmp_path, mutate, message):
     data = demo_dict()
@@ -254,6 +294,24 @@ def test_spec_file_errors_name_the_file(capsys, tmp_path, mutate, message):
     path = write_spec(tmp_path, data)
     code, out, err = run(capsys, "analyze", path)
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100_000 + b"]" * 100_000,
+        b"\xff\xfe{}",
+        b'{"version": "v1", "rho": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["deep-nesting", "not-utf-8", "long-integer"],
+)
+def test_spec_file_decode_errors_name_the_file(capsys, tmp_path, content):
+    path = tmp_path / "system.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_spec_file_rejects_malformed_json(capsys, tmp_path):
@@ -476,6 +534,28 @@ def test_simulate_budget_exceeded(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+def test_testbed_defaults_are_run_comparison_defaults():
+    args = _build_parser().parse_args(
+        ["testbed", "--discipline", "exhaustive", "--out", "bed"]
+    )
+    params = inspect.signature(run_comparison).parameters
+    assert (args.seed, args.target_samples, args.reps) == tuple(
+        params[name].default
+        for name in ("base_seed", "target_customers", "replications")
+    )
+
+
+def test_program_fault_is_not_reported_as_invalid_input(monkeypatch):
+    # Only InvalidInput is a user error; a stray ValueError is a bug and
+    # must keep its traceback.
+    def fault(*_args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("pollwait.cli.mean_wait", fault)
+    with pytest.raises(ValueError, match="boom"):
+        main(["analyze", "--preset", "three-queue", "--rho", "0.5"])
 
 
 def test_testbed_unwritable_output(capsys, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from pollwait import (
     DistKind,
     FittedDistribution,
-    InvalidMoment,
+    InvalidInput,
     density_at_zero,
     density_at_zero_two_moment_approx,
     fit_two_moments,
@@ -173,16 +173,16 @@ def test_single_sample_is_python_float():
 
 def test_invalid_targets_rejected():
     bad = (
-        (0.0, 1.0),
-        (-1.0, 1.0),
-        (math.nan, 1.0),
-        (math.inf, 1.0),
-        (1.0, -0.1),
-        (1.0, math.nan),
-        (1.0, math.inf),
+        (0.0, 1.0, "mean"),
+        (-1.0, 1.0, "mean"),
+        (math.nan, 1.0, "mean"),
+        (math.inf, 1.0, "mean"),
+        (1.0, -0.1, "scv"),
+        (1.0, math.nan, "scv"),
+        (1.0, math.inf, "scv"),
     )
-    for mean, scv in bad:
-        with pytest.raises(InvalidMoment):
+    for mean, scv, target in bad:
+        with pytest.raises(InvalidInput, match=f"^{target} must be"):
             fit_two_moments(mean, scv)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="scv must be >= 0 and finite"):
         density_at_zero_two_moment_approx(-0.5)

@@ -8,12 +8,9 @@ import pytest
 from pollwait import (
     DensityMode,
     Discipline,
-    InvalidMoment,
-    LoadOutOfRange,
+    InvalidInput,
     QueueSpec,
     SystemSpec,
-    UnnormalizedLoads,
-    ZeroTotalSwitchover,
     derive_moments,
     exact_density_mode,
     scale_to_load,
@@ -50,36 +47,43 @@ def test_load_fraction():
 
 def test_queue_moment_validation():
     for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(InvalidMoment):
+        with pytest.raises(InvalidInput, match="mean_service must be positive"):
             make_queue(mean_service=bad)
-        with pytest.raises(InvalidMoment):
+        with pytest.raises(InvalidInput, match="mean_interarrival_at_saturation must be"):
             make_queue(mean_interarrival_at_saturation=bad)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="mean_switchover must be >= 0"):
         make_queue(mean_switchover=-0.5)
     for label in ("scv_service", "scv_interarrival", "scv_switchover"):
-        with pytest.raises(InvalidMoment):
+        with pytest.raises(InvalidInput, match=f"{label} must be >= 0 and finite"):
             make_queue(**{label: -0.1})
-        with pytest.raises(InvalidMoment):
+        with pytest.raises(InvalidInput, match=f"{label} must be >= 0 and finite"):
             make_queue(**{label: math.nan})
     # Zero switch-over mean is allowed at queue level.
     make_queue(mean_switchover=0.0, scv_switchover=0.0)
 
 
+def test_queue_load_fraction_must_be_positive():
+    # Both means are valid, but their ratio underflows to zero, so the
+    # fractions 1.0 and 0.0 of this pair would sum to one.
+    with pytest.raises(InvalidInput, match="5e-324 / 2.0"):
+        make_queue(mean_service=5e-324)
+
+
 def test_density_mode_compatibility():
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="EXACT_H2 requires"):
         make_queue(scv_interarrival=1.0, density_mode=DensityMode.EXACT_H2)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="EXACT_EXPONENTIAL requires"):
         make_queue(scv_interarrival=2.0, density_mode=DensityMode.EXACT_EXPONENTIAL)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="EXACT_MIXED_ERLANG requires"):
         make_queue(scv_interarrival=0.0, density_mode=DensityMode.EXACT_MIXED_ERLANG)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="EXACT_MIXED_ERLANG requires"):
         make_queue(scv_interarrival=2.0, density_mode=DensityMode.EXACT_MIXED_ERLANG)
     # The value is required with USER_VALUE and forbidden otherwise.
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="density_value must be a finite value >= 0"):
         make_queue(density_mode=DensityMode.USER_VALUE)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="density_value must be a finite value >= 0"):
         make_queue(density_mode=DensityMode.USER_VALUE, density_value=-1.0)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="density_value is only allowed"):
         make_queue(density_value=0.5)
     make_queue(density_mode=DensityMode.USER_VALUE, density_value=0.8)
     make_queue(scv_interarrival=1.0, density_mode=DensityMode.EXACT_MIXED_ERLANG)
@@ -95,14 +99,14 @@ def test_exact_density_mode_mapping():
 def test_system_load_range():
     queues = (make_queue(), make_queue())
     for rho in (1.0, 1.5, -0.1, math.nan):
-        with pytest.raises(LoadOutOfRange):
+        with pytest.raises(InvalidInput, match="rho must satisfy 0 <= rho < 1"):
             SystemSpec(queues=queues, discipline=Discipline.EXHAUSTIVE, rho=rho)
     # Zero load is a valid closed-form evaluation point.
     SystemSpec(queues=queues, discipline=Discipline.EXHAUSTIVE, rho=0.0)
 
 
 def test_system_load_fractions_must_sum_to_one():
-    with pytest.raises(UnnormalizedLoads):
+    with pytest.raises(InvalidInput, match="load fractions must sum to 1"):
         SystemSpec(
             queues=(make_queue(), make_queue(mean_interarrival_at_saturation=4.0)),
             discipline=Discipline.EXHAUSTIVE,
@@ -112,13 +116,13 @@ def test_system_load_fractions_must_sum_to_one():
     near = make_queue(mean_interarrival_at_saturation=1.0 / (0.5 + 5e-10))
     SystemSpec(queues=(make_queue(), near), discipline=Discipline.GATED, rho=0.5)
     off = make_queue(mean_interarrival_at_saturation=1.0 / (0.5 + 5e-9))
-    with pytest.raises(UnnormalizedLoads):
+    with pytest.raises(InvalidInput, match="load fractions must sum to 1"):
         SystemSpec(queues=(make_queue(), off), discipline=Discipline.GATED, rho=0.5)
 
 
 def test_system_requires_some_switchover():
     silent = make_queue(mean_switchover=0.0, scv_switchover=0.0)
-    with pytest.raises(ZeroTotalSwitchover):
+    with pytest.raises(InvalidInput, match="at least one switch-over time"):
         SystemSpec(queues=(silent, silent), discipline=Discipline.EXHAUSTIVE, rho=0.3)
     # One positive switch-over anywhere in the cycle is enough.
     SystemSpec(queues=(silent, make_queue()), discipline=Discipline.EXHAUSTIVE, rho=0.3)
@@ -140,7 +144,7 @@ def test_scale_to_load():
     assert scaled.rho == 0.9
     assert scaled.queues == spec.queues
     assert scaled.discipline is spec.discipline
-    with pytest.raises(LoadOutOfRange):
+    with pytest.raises(InvalidInput, match="rho must satisfy 0 <= rho < 1"):
         scale_to_load(spec, 1.0)
 
 
@@ -185,7 +189,7 @@ def test_derived_moments_ignore_operating_load():
 )
 def test_derived_moments_reject_overflow(overrides):
     spec = SystemSpec((make_queue(**overrides), make_queue()), Discipline.GATED, 0.5)
-    with pytest.raises(InvalidMoment, match="overflow"):
+    with pytest.raises(InvalidInput, match="overflow"):
         derive_moments(spec)
 
 

@@ -6,7 +6,6 @@ import pollwait
 from pollwait import approx, testbed
 
 PUBLIC_NAMES = [
-    "DegenerateLoad",
     "DensityMode",
     "DerivedMoments",
     "Discipline",
@@ -15,21 +14,16 @@ PUBLIC_NAMES = [
     "ErrorReport",
     "FittedDistribution",
     "InterpolationConstants",
-    "InvalidMoment",
-    "LoadOutOfRange",
+    "InvalidInput",
     "Method",
     "NumericalBudget",
     "PollingModelError",
     "QueueSpec",
     "SimConfig",
     "SimEstimate",
-    "SpecFileError",
     "SystemSpec",
     "TestBedCase",
-    "UnnormalizedLoads",
     "WaitingTimeResult",
-    "ZeroLoad",
-    "ZeroTotalSwitchover",
     "__version__",
     "density_at_zero",
     "density_at_zero_two_moment_approx",

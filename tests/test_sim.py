@@ -9,12 +9,12 @@ import pytest
 from pollwait import (
     DensityMode,
     Discipline,
+    InvalidInput,
     NumericalBudget,
     QueueSpec,
     SimConfig,
     SystemSpec,
     Method,
-    ZeroLoad,
     mean_wait,
     simulate,
 )
@@ -64,7 +64,7 @@ def test_config_validation():
 
 
 def test_zero_load_is_rejected():
-    with pytest.raises(ZeroLoad):
+    with pytest.raises(InvalidInput, match="simulation requires rho > 0"):
         simulate(two_queue_spec(rho=0.0), SHORT)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from pollwait import (
     Discipline,
-    InvalidMoment,
+    InvalidInput,
     Method,
     TestBedCase,
     detect_exact_cases,
@@ -80,15 +80,15 @@ def test_sampled_bed():
 
 
 def test_case_validation():
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="n_queues must be >= 1"):
         TestBedCase(0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="rho must be in"):
         TestBedCase(2, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="scv_interarrival must be >= 0"):
         TestBedCase(2, 0.5, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="imbalance ratios must be >= 1"):
         TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0)
-    with pytest.raises(InvalidMoment):
+    with pytest.raises(InvalidInput, match="switchover_service_ratio must be positive"):
         TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
 
 
