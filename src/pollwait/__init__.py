@@ -33,7 +33,6 @@ from .model import (
     QueueSpec,
     SystemSpec,
     derive_moments,
-    exact_density_mode,
     scale_to_load,
 )
 from .sim import SimConfig, SimEstimate, simulate

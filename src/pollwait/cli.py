@@ -241,21 +241,16 @@ def _parse_rho_grid(text: str) -> list[float]:
 
 
 def _parse_methods(text: str) -> list[Method]:
-    methods = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            methods.append(Method(token))
-        except ValueError:
-            raise InvalidInput(
-                f"unknown method {token!r}; choose from "
-                f"{[m.value for m in Method]}"
-            ) from None
-    if not methods:
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    known = [m.value for m in Method]
+    for token in tokens:
+        if token not in known:
+            raise InvalidInput(f"unknown method {token!r}; choose from {known}")
+    if not tokens:
         raise InvalidInput("--methods must name at least one method")
-    return methods
+    if len(set(tokens)) < len(tokens):
+        raise InvalidInput(f"--methods repeats a method: {text!r}")
+    return [Method(token) for token in tokens]
 
 
 _PRESETS = {
@@ -505,12 +500,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=Method.INTERPOLATION.value,
         help="comma-separated method names",
     )
-    p.add_argument(
+    sim_flags = p.add_mutually_exclusive_group()
+    sim_flags.add_argument(
         "--with-sim",
         action="store_true",
         help="add simulation points at every grid load",
     )
-    p.add_argument(
+    sim_flags.add_argument(
         "--no-sim",
         action="store_true",
         help="suppress the simulation points a preset adds by default",

@@ -36,7 +36,6 @@ __all__ = [
     "DerivedMoments",
     "derive_moments",
     "scale_to_load",
-    "exact_density_mode",
 ]
 
 # Tolerance on |sum of load fractions - 1| before a description is rejected.
@@ -55,15 +54,23 @@ class DensityMode(Enum):
 
     The waiting-time constants need the value ``mean * g(0)`` of each
     interarrival law.  It can be taken from the two-moment approximation
-    rule, computed exactly for the fitted law, or supplied by the caller
-    when the true law is known.
+    rule, computed exactly for the law ``fit_two_moments`` fits to the scv
+    (``EXACT``, valid at every scv), or supplied by the caller when the
+    true law is known.
     """
 
     TWO_MOMENT_APPROX = "two-moment-approx"
-    EXACT_H2 = "exact-h2"
-    EXACT_MIXED_ERLANG = "exact-mixed-erlang"
-    EXACT_EXPONENTIAL = "exact-exponential"
+    EXACT = "exact"
     USER_VALUE = "user-value"
+    # EXACT was once one mode per fitted family.  These aliases stay while
+    # the bench workloads still name them.
+    EXACT_H2 = EXACT_MIXED_ERLANG = EXACT_EXPONENTIAL = "exact"
+
+    @classmethod
+    def _missing_(cls, value):
+        # Spec files written with the per-family spellings still load.
+        legacy = ("exact-h2", "exact-mixed-erlang", "exact-exponential")
+        return cls.EXACT if value in legacy else None
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -134,9 +141,7 @@ class QueueSpec:
                 f"{label} must be >= 0 and finite, got {value!r}",
             )
 
-        scv_a = self.scv_interarrival
-        mode = self.density_mode
-        if mode is DensityMode.USER_VALUE:
+        if self.density_mode is DensityMode.USER_VALUE:
             _require(
                 self.density_value is not None
                 and _finite(self.density_value)
@@ -149,42 +154,11 @@ class QueueSpec:
                 self.density_value is None,
                 "density_value is only allowed with DensityMode.USER_VALUE",
             )
-        if mode is DensityMode.EXACT_H2:
-            _require(
-                scv_a > 1.0,
-                f"EXACT_H2 requires scv_interarrival > 1, got {scv_a!r}",
-            )
-        elif mode is DensityMode.EXACT_EXPONENTIAL:
-            _require(
-                scv_a == 1.0,
-                f"EXACT_EXPONENTIAL requires scv_interarrival == 1, got {scv_a!r}",
-            )
-        elif mode is DensityMode.EXACT_MIXED_ERLANG:
-            _require(
-                0.0 < scv_a <= 1.0,
-                "EXACT_MIXED_ERLANG requires 0 < scv_interarrival <= 1, "
-                f"got {scv_a!r}",
-            )
 
     @property
     def load_fraction(self) -> float:
         """Share of the total load carried by this queue."""
         return self.mean_service / self.mean_interarrival_at_saturation
-
-
-def exact_density_mode(scv_interarrival: float) -> DensityMode:
-    """Density mode that evaluates the fitted law for this scv exactly.
-
-    For scv == 0 the two-moment rule already gives the exact value (0 for a
-    deterministic law), so no dedicated mode is needed.
-    """
-    if scv_interarrival == 0.0:
-        return DensityMode.TWO_MOMENT_APPROX
-    if scv_interarrival == 1.0:
-        return DensityMode.EXACT_EXPONENTIAL
-    if scv_interarrival > 1.0:
-        return DensityMode.EXACT_H2
-    return DensityMode.EXACT_MIXED_ERLANG
 
 
 @dataclass(frozen=True)

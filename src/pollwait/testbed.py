@@ -34,10 +34,10 @@ import numpy as np
 from .approx import Method, mean_wait
 from .errors import InvalidInput
 from .model import (
+    DensityMode,
     Discipline,
     QueueSpec,
     SystemSpec,
-    exact_density_mode,
 )
 from .sim import SimConfig, _customers_per_cycle, simulate
 
@@ -202,7 +202,6 @@ def materialize_case(
     scale = case.rho / sum(r * s for r, s in zip(rates, shapes))
     services = [scale * s for s in shapes]
     rho = sum(r * b for r, b in zip(rates, services))
-    density_mode = exact_density_mode(case.scv_interarrival)
     queues = tuple(
         QueueSpec(
             mean_service=services[i],
@@ -211,7 +210,7 @@ def materialize_case(
             scv_interarrival=case.scv_interarrival,
             mean_switchover=case.switchover_service_ratio * services[i],
             scv_switchover=case.scv_switchover,
-            density_mode=density_mode,
+            density_mode=DensityMode.EXACT,
         )
         for i in range(n)
     )
@@ -425,14 +424,14 @@ def run_comparison(
     jobs: Optional[int] = None,
     target_customers: int = 400_000,
     replications: int = 3,
-    oracle: str = "simulation",
 ) -> ErrorReport:
     """Simulate `cases` and score `methods` against the estimates.
 
     Parameters
     ----------
     cases, methods, discipline
-        What to run.  Case order defines ``case_index`` in the records.
+        What to run.  Case order defines ``case_index`` in the records;
+        no method may appear twice.
     cfg : SimConfig, optional
         Fixed run lengths for every case.  By default each case is sized
         automatically to about `target_customers` pooled waiting times over
@@ -447,8 +446,11 @@ def run_comparison(
     -------
     ErrorReport
     """
-    if oracle != "simulation":
-        raise InvalidInput(f"unsupported oracle {oracle!r}")
+    methods = tuple(methods)
+    if len(set(methods)) < len(methods):
+        raise InvalidInput(
+            f"methods must not repeat, got {[m.value for m in methods]}"
+        )
     if replications < 1 or target_customers < 1:
         raise InvalidInput(
             "replications and target samples must be >= 1, got "
@@ -456,7 +458,6 @@ def run_comparison(
         )
     if base_seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {base_seed}")
-    methods = tuple(methods)
     run_case = functools.partial(
         _run_case,
         discipline,
@@ -579,13 +580,20 @@ def report_from_csv(path: str) -> ErrorReport:
     """Rebuild an :class:`ErrorReport` from :func:`report_to_csv` output."""
     records = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            values = [
-                from_text(row[column])
-                for column, from_text in zip(_CSV_HEADER, _CSV_FROM_TEXT)
-            ]
-            values[_CASE_COLUMNS] = [TestBedCase(*values[_CASE_COLUMNS])]
-            records.append(ErrorRecord(*values))
+        rows = csv.reader(handle)
+        try:
+            if next(rows, None) != _CSV_HEADER:
+                raise InvalidInput("not a report_to_csv header")
+            for row in rows:
+                values = [
+                    decode(cell)
+                    for decode, cell in zip(_CSV_FROM_TEXT, row, strict=True)
+                ]
+                values[_CASE_COLUMNS] = [TestBedCase(*values[_CASE_COLUMNS])]
+                records.append(ErrorRecord(*values))
+        except (ValueError, csv.Error) as exc:
+            # InvalidInput and UnicodeDecodeError are ValueErrors too.
+            raise InvalidInput(f"{path}: line {rows.line_num}: {exc}") from None
     if not records:
         raise InvalidInput(f"no records in {path}")
     return ErrorReport(
@@ -658,7 +666,7 @@ def three_queue_demo_spec(
             scv_interarrival=3.0,
             mean_switchover=1.0,
             scv_switchover=1.0,
-            density_mode=exact_density_mode(3.0),
+            density_mode=DensityMode.EXACT,
         )
         for f in fractions
     )
@@ -685,7 +693,7 @@ def two_queue_small_switchover_spec(
             scv_interarrival=1.0,
             mean_switchover=9.0 / 200.0,
             scv_switchover=1.0,
-            density_mode=exact_density_mode(1.0),
+            density_mode=DensityMode.EXACT,
         )
         for rate in (rate_heavy, rate_light)
     )

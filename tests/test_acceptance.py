@@ -24,7 +24,6 @@ from pollwait import (
     density_at_zero_two_moment_approx,
     derive_moments,
     detect_exact_cases,
-    exact_density_mode,
     fit_two_moments,
     materialize_case,
     mean_wait,
@@ -77,7 +76,7 @@ def random_system(rng, discipline, poisson=False):
                 scv_interarrival=scv_a,
                 mean_switchover=mean_s,
                 scv_switchover=float(rng.uniform(0.0, 2.0)) if mean_s > 0 else 0.0,
-                density_mode=exact_density_mode(scv_a),
+                density_mode=DensityMode.EXACT,
             )
         )
     return SystemSpec(

@@ -18,7 +18,6 @@ from pollwait import (
     QueueSpec,
     SystemSpec,
     derive_moments,
-    exact_density_mode,
     mean_wait,
     pcl_residual,
     pcl_rhs,
@@ -79,7 +78,7 @@ def random_system(rng, discipline, poisson=False, n=None):
                 scv_interarrival=scv_a,
                 mean_switchover=mean_s,
                 scv_switchover=float(rng.uniform(0.0, 2.0)) if mean_s > 0 else 0.0,
-                density_mode=exact_density_mode(scv_a),
+                density_mode=DensityMode.EXACT,
             )
         )
     return SystemSpec(

@@ -12,6 +12,7 @@ import pytest
 
 import pollwait
 from pollwait import (
+    DensityMode,
     Discipline,
     Method,
     SimConfig,
@@ -62,6 +63,24 @@ def test_demo_spec_round_trip(capsys, tmp_path):
     path.write_text(out)
     spec = load_spec_file(str(path))
     assert spec == three_queue_demo_spec(0.7, Discipline.EXHAUSTIVE)
+
+
+@pytest.mark.parametrize(
+    "spelling", ["exact-h2", "exact-mixed-erlang", "exact-exponential"]
+)
+def test_legacy_density_mode_spellings_load_as_exact(capsys, tmp_path, spelling):
+    # Spec files written with the per-family spellings still load, whatever
+    # their scv, and give the same output as "exact".
+    outputs = []
+    for mode in (spelling, "exact"):
+        data = demo_dict()
+        for queue, scv in zip(data["queues"], (0.5, 1.0, 3.0)):
+            queue.update(density_mode=mode, scv_interarrival=scv)
+        path = write_spec(tmp_path, data, name=f"{mode}.json")
+        spec = load_spec_file(path)
+        assert {q.density_mode for q in spec.queues} == {DensityMode.EXACT}
+        outputs.append(run(capsys, "analyze", path, "--format", "json"))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_analyze_json_output(capsys):
@@ -386,6 +405,8 @@ def test_sweep_grid_rejections(capsys, grid):
         ("sweep", "--seed", "-1", "seed"),
         ("simulate", "--seed", "-1", "seed"),
         ("testbed", "--seed", "-1", "seed"),
+        ("sweep", "--methods", "interpolation,interpolation", "--methods"),
+        ("testbed", "--methods", "lt-only, lt-only", "--methods"),
     ],
 )
 def test_bad_option_value_names_the_option(
@@ -419,6 +440,15 @@ def test_sweep_unknown_method(capsys):
     )
     assert code == 2
     assert "unknown method" in err
+
+
+def test_sweep_with_sim_and_no_sim_is_a_usage_error(capsys):
+    argv = ["sweep", "--preset", "three-queue", "--rho-grid", "0.5:0.5:1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--with-sim", "--no-sim"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--with-sim" in err and "--no-sim" in err
 
 
 def test_sweep_preset_adds_simulation_rows(capsys, tmp_path):

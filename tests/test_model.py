@@ -11,8 +11,9 @@ from pollwait import (
     InvalidInput,
     QueueSpec,
     SystemSpec,
+    density_at_zero,
     derive_moments,
-    exact_density_mode,
+    fit_two_moments,
     scale_to_load,
 )
 
@@ -70,14 +71,6 @@ def test_queue_load_fraction_must_be_positive():
 
 
 def test_density_mode_compatibility():
-    with pytest.raises(InvalidInput, match="EXACT_H2 requires"):
-        make_queue(scv_interarrival=1.0, density_mode=DensityMode.EXACT_H2)
-    with pytest.raises(InvalidInput, match="EXACT_EXPONENTIAL requires"):
-        make_queue(scv_interarrival=2.0, density_mode=DensityMode.EXACT_EXPONENTIAL)
-    with pytest.raises(InvalidInput, match="EXACT_MIXED_ERLANG requires"):
-        make_queue(scv_interarrival=0.0, density_mode=DensityMode.EXACT_MIXED_ERLANG)
-    with pytest.raises(InvalidInput, match="EXACT_MIXED_ERLANG requires"):
-        make_queue(scv_interarrival=2.0, density_mode=DensityMode.EXACT_MIXED_ERLANG)
     # The value is required with USER_VALUE and forbidden otherwise.
     with pytest.raises(InvalidInput, match="density_value must be a finite value >= 0"):
         make_queue(density_mode=DensityMode.USER_VALUE)
@@ -89,11 +82,30 @@ def test_density_mode_compatibility():
     make_queue(scv_interarrival=1.0, density_mode=DensityMode.EXACT_MIXED_ERLANG)
 
 
-def test_exact_density_mode_mapping():
-    assert exact_density_mode(0.0) is DensityMode.TWO_MOMENT_APPROX
-    assert exact_density_mode(0.5) is DensityMode.EXACT_MIXED_ERLANG
-    assert exact_density_mode(1.0) is DensityMode.EXACT_EXPONENTIAL
-    assert exact_density_mode(2.0) is DensityMode.EXACT_H2
+def test_density_modes_and_legacy_spellings():
+    assert list(DensityMode) == [
+        DensityMode.TWO_MOMENT_APPROX,
+        DensityMode.EXACT,
+        DensityMode.USER_VALUE,
+    ]
+    for legacy in ("exact-h2", "exact-mixed-erlang", "exact-exponential"):
+        assert DensityMode(legacy) is DensityMode.EXACT
+    assert DensityMode.EXACT_H2 is DensityMode.EXACT
+    with pytest.raises(ValueError):
+        DensityMode("exact-erlang")
+
+
+@pytest.mark.parametrize("scv", [0.0, 0.5, 1.0, 3.0])
+def test_exact_density_is_the_fitted_law_at_every_scv(scv):
+    # Any scv is valid with EXACT, including 0 (a deterministic law).
+    queue = make_queue(
+        mean_interarrival_at_saturation=2.0,
+        scv_interarrival=scv,
+        density_mode=DensityMode.EXACT,
+    )
+    spec = SystemSpec((queue, queue), Discipline.EXHAUSTIVE, 0.5)
+    expected = density_at_zero(fit_two_moments(2.0, scv))
+    assert derive_moments(spec).density_at_zero == (expected, expected)
 
 
 def test_system_load_range():

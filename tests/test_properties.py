@@ -31,7 +31,6 @@ from pollwait import (
     Method,
     QueueSpec,
     SystemSpec,
-    exact_density_mode,
     mean_wait,
     pcl_residual,
     pcl_rhs,
@@ -56,16 +55,9 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def _density_modes(scv_interarrival):
-    modes = [DensityMode.TWO_MOMENT_APPROX, DensityMode.USER_VALUE]
-    if scv_interarrival > 0.0:
-        modes.append(exact_density_mode(scv_interarrival))
-    return modes
-
-
 @st.composite
 def systems(draw, poisson=False):
-    """A valid system of 1-6 queues whose density modes fit their scv."""
+    """A valid system of 1-6 queues; every density mode fits every scv."""
     n = draw(st.integers(1, 6))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     total = sum(weights)
@@ -77,7 +69,7 @@ def systems(draw, poisson=False):
             modes = [DensityMode.TWO_MOMENT_APPROX, DensityMode.EXACT_EXPONENTIAL]
         else:
             scv_a = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 5.0))
-            modes = _density_modes(scv_a)
+            modes = list(DensityMode)
         mode = draw(st.sampled_from(modes))
         value = (
             draw(st.floats(0.0, 2.0)) if mode is DensityMode.USER_VALUE else None
@@ -135,12 +127,8 @@ def _perturbations(queue):
     ]
     if queue.mean_switchover > 0.0:
         out.append(replace(queue, scv_switchover=queue.scv_switchover + 0.5))
-    mode = queue.density_mode
-    if mode is DensityMode.EXACT_MIXED_ERLANG:
-        out.append(replace(queue, scv_interarrival=queue.scv_interarrival / 2.0))
-    elif mode is not DensityMode.EXACT_EXPONENTIAL:
-        out.append(replace(queue, scv_interarrival=queue.scv_interarrival + 0.5))
-    if mode is DensityMode.USER_VALUE:
+    out.append(replace(queue, scv_interarrival=queue.scv_interarrival + 0.5))
+    if queue.density_mode is DensityMode.USER_VALUE:
         out.append(replace(queue, density_value=queue.density_value + 0.25))
     return out
 
@@ -194,7 +182,7 @@ def test_memo_tells_apart_density_modes(spec, data):
     i = data.draw(st.integers(0, spec.n - 1))
     queue = spec.queues[i]
     _outputs(spec)
-    for mode in _density_modes(queue.scv_interarrival):
+    for mode in DensityMode:
         value = 0.5 if mode is DensityMode.USER_VALUE else None
         swapped = dataclasses.replace(queue, density_mode=mode, density_value=value)
         queues = spec.queues[:i] + (swapped,) + spec.queues[i + 1 :]

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "density_at_zero_two_moment_approx",
     "derive_moments",
     "detect_exact_cases",
-    "exact_density_mode",
     "fit_two_moments",
     "is_exact_case",
     "materialize_case",

@@ -1,6 +1,7 @@
 """Tests for the accuracy grid: case enumeration, materialization,
 exact-case detection and the comparison runner."""
 
+import csv
 import math
 
 import numpy as np
@@ -213,9 +214,10 @@ def test_run_comparison_auto_config():
         assert math.isfinite(r.rel_err)
 
 
-def test_rejects_unknown_oracle():
-    with pytest.raises(ValueError):
-        run_comparison(SMOKE_CASES, (Method.INTERPOLATION,), EXH, oracle="exact")
+def test_run_comparison_rejects_repeated_methods():
+    methods = (Method.INTERPOLATION, Method.LT_ONLY, Method.INTERPOLATION)
+    with pytest.raises(InvalidInput, match="methods must not repeat"):
+        run_comparison(SMOKE_CASES, methods, EXH, cfg=SMOKE_CFG, jobs=1)
 
 
 def synthetic_report(cases_and_errors=None):
@@ -294,6 +296,29 @@ def test_csv_round_trip(tmp_path):
     assert reloaded.discipline is GAT
     assert reloaded.methods == report.methods
     assert reloaded.records == report.records
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda rows: [["x", "y"], *rows[1:]], "line 1: not a report_to_csv"),
+        (
+            lambda rows: [*rows[:2], ["x", *rows[2][1:]], *rows[3:]],
+            "line 3: invalid literal",
+        ),
+        (lambda rows: [*rows[:2], rows[2][:-1], *rows[3:]], "line 3: zip"),
+    ],
+    ids=["header", "cell", "short-row"],
+)
+def test_report_from_csv_rejects_malformed_file(tmp_path, mutate, message):
+    path = tmp_path / "records.csv"
+    report_to_csv(synthetic_report(), str(path))
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(mutate(rows))
+    with pytest.raises(InvalidInput, match=f"^{path}: {message}"):
+        report_from_csv(str(path))
 
 
 def test_write_report_files(tmp_path):
