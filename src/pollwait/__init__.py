@@ -23,7 +23,6 @@ from .fitting import (
     density_at_zero,
     density_at_zero_two_moment_approx,
     fit_two_moments,
-    realized_moments,
     sample_array,
 )
 from .model import (
@@ -40,7 +39,6 @@ from .testbed import (
     ErrorRecord,
     ErrorReport,
     TestBedCase,
-    detect_exact_cases,
     is_exact_case,
     materialize_case,
     poisson_bed,

@@ -79,12 +79,13 @@ class Method(Enum):
 class InterpolationConstants:
     """Numerator coefficients of the interpolation for one queue.
 
+    Entry ``i`` of ``WaitingTimeResult.constants`` belongs to queue ``i``.
+
     ``k0`` equals the mean residual total switch-over time (the zero-load
     waiting time), ``k0 + k1`` equals the light-traffic slope, and
     ``k0 + k1 + k2`` equals the heavy-traffic scaled delay of the queue.
     """
 
-    queue: int
     k0: float
     k1: float
     k2: float
@@ -152,7 +153,7 @@ def _interpolation_constants(
             acc += prefix * dm.switchover_vars[(i + j) % n]
         k1 = slope - acc / dm.switchover_mean_total + fracs[i] * (k0 - gap)
         constants.append(
-            InterpolationConstants(queue=i, k0=k0, k1=k1, k2=delays[i] - k0 - k1)
+            InterpolationConstants(k0=k0, k1=k1, k2=delays[i] - k0 - k1)
         )
     return tuple(constants)
 

@@ -15,7 +15,9 @@ System descriptions are JSON files with a ``version`` field (currently
 visit order.  Unknown fields and non-finite numbers are rejected.
 
 Exit codes: 0 success, 2 ``InvalidInput``, 3 ``NumericalBudget``, 4
-``OSError``; any other exception is a program fault and keeps its traceback.
+``OSError``, and 141 (128 + SIGPIPE), with nothing on stderr, when the
+reader of standard output closes it early; any other exception is a
+program fault and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ _EXIT_OK = 0
 _EXIT_INVALID = 2
 _EXIT_BUDGET = 3
 _EXIT_IO = 4
+_EXIT_CLOSED_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
 def _reject_constant(_value: str) -> float:
@@ -576,7 +579,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Raise a closed pipe here, not in the flush at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout quit early: not an error of this run.  Send
+        # what is still buffered to devnull so the flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_CLOSED_PIPE
     except NumericalBudget as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET

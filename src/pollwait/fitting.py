@@ -34,7 +34,6 @@ __all__ = [
     "DistKind",
     "FittedDistribution",
     "fit_two_moments",
-    "realized_moments",
     "density_at_zero",
     "density_at_zero_two_moment_approx",
     "sample_array",
@@ -123,25 +122,6 @@ def fit_two_moments(mean: float, scv: float) -> FittedDistribution:
     return FittedDistribution(
         DistKind.MIXED_ERLANG, mean, scv, prob=prob, shape=shape, rate=rate
     )
-
-
-def realized_moments(dist: FittedDistribution) -> tuple[float, float]:
-    """Mean and scv recomputed from the concrete parameters of `dist`."""
-    if dist.kind is DistKind.DETERMINISTIC:
-        return dist.mean, 0.0
-    if dist.kind is DistKind.EXPONENTIAL:
-        return dist.mean, 1.0
-    if dist.kind is DistKind.HYPEREXPONENTIAL:
-        m1 = dist.prob / dist.rate1 + (1.0 - dist.prob) / dist.rate2
-        m2 = 2.0 * (
-            dist.prob / dist.rate1**2 + (1.0 - dist.prob) / dist.rate2**2
-        )
-        return m1, m2 / m1**2 - 1.0
-    # Mixed Erlang: E[X] = (k - p)/mu, Var[X] = (k - p^2)/mu^2.
-    k, p, mu = dist.shape, dist.prob, dist.rate
-    mean = (k - p) / mu
-    var = (k - p * p) / (mu * mu)
-    return mean, var / (mean * mean)
 
 
 def _h2_normalized_density(scv: float) -> float:

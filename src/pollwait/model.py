@@ -212,10 +212,8 @@ class DerivedMoments:
     ----------
     load_fractions : tuple of float
         Per-queue share of the total load; sums to one.
-    arrival_rates_at_saturation : tuple of float
-        Reciprocal interarrival means at saturation.
-    switchover_mean_total, switchover_var_total : float
-        Mean and variance of the total switch-over time per cycle.
+    switchover_mean_total : float
+        Mean of the total switch-over time per cycle.
     switchover_vars : tuple of float
         Per-queue switch-over variances.
     switchover_residual : float
@@ -232,9 +230,7 @@ class DerivedMoments:
     """
 
     load_fractions: tuple[float, ...]
-    arrival_rates_at_saturation: tuple[float, ...]
     switchover_mean_total: float
-    switchover_var_total: float
     switchover_vars: tuple[float, ...]
     switchover_residual: float
     service_residuals: tuple[float, ...]
@@ -330,9 +326,7 @@ def _derive_moments(spec: SystemSpec) -> DerivedMoments:
 
     return DerivedMoments(
         load_fractions=load_fractions,
-        arrival_rates_at_saturation=rates,
         switchover_mean_total=sw_total,
-        switchover_var_total=sw_var_total,
         switchover_vars=sw_vars,
         switchover_residual=sw_residual,
         service_residuals=service_residuals,

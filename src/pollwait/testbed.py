@@ -51,7 +51,6 @@ __all__ = [
     "sampled_bed",
     "materialize_case",
     "is_exact_case",
-    "detect_exact_cases",
     "run_comparison",
     "report_tables",
     "write_report_files",
@@ -88,6 +87,11 @@ class TestBedCase:
     switchover_service_ratio: float
 
     def __post_init__(self) -> None:
+        # nan and inf would pass the range checks below.
+        for label in _FLOAT_FIELDS:
+            value = getattr(self, label)
+            if not math.isfinite(value):
+                raise InvalidInput(f"{label} must be finite, got {value!r}")
         if self.n_queues < 1:
             raise InvalidInput(f"n_queues must be >= 1, got {self.n_queues}")
         if not 0.0 < self.rho < 1.0:
@@ -99,6 +103,10 @@ class TestBedCase:
             raise InvalidInput("imbalance ratios must be >= 1")
         if self.switchover_service_ratio <= 0.0:
             raise InvalidInput("switchover_service_ratio must be positive")
+
+
+# Every field after n_queues.
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(TestBedCase)][1:]
 
 
 # Each grid maps every field of TestBedCase to the values it takes.  The
@@ -244,15 +252,6 @@ def is_exact_case(case: TestBedCase, discipline: Discipline) -> bool:
     return abs(case.rho - target) <= TWO_QUEUE_EXACT_TOL
 
 
-def detect_exact_cases(
-    cases: Sequence[TestBedCase], discipline: Discipline
-) -> list[int]:
-    """Indices of the cases where the interpolation is provably exact."""
-    return [
-        i for i, case in enumerate(cases) if is_exact_case(case, discipline)
-    ]
-
-
 @dataclass(frozen=True)
 class ErrorRecord:
     """Error of one estimator on one queue of one grid case."""
@@ -271,7 +270,7 @@ class ErrorRecord:
 
 @dataclass
 class ErrorReport:
-    """All error records of a comparison run plus aggregation helpers."""
+    """All error records of a comparison run."""
 
     discipline: Discipline
     methods: tuple[Method, ...]
@@ -280,19 +279,6 @@ class ErrorReport:
     @property
     def flagged(self) -> list[ErrorRecord]:
         return [r for r in self.records if r.flagged]
-
-    def mean_abs_error(
-        self,
-        method: Method,
-        predicate: Optional[Callable[[ErrorRecord], bool]] = None,
-    ) -> float:
-        """Mean absolute relative error in percent, optionally filtered."""
-        errors = [
-            abs(r.rel_err)
-            for r in self.records
-            if r.method is method and (predicate is None or predicate(r))
-        ]
-        return _mean(errors)
 
 
 def _mean(errors: Sequence[float]) -> float:

@@ -1,0 +1,44 @@
+"""Checks that only tests need: realized moments of a fitted law and the
+mean error of a filtered set of test-bed records."""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+from pollwait.approx import Method
+from pollwait.fitting import DistKind, FittedDistribution
+from pollwait.testbed import ErrorRecord, ErrorReport, _mean
+
+
+def realized_moments(dist: FittedDistribution) -> tuple[float, float]:
+    """Mean and scv recomputed from the concrete parameters of `dist`."""
+    if dist.kind is DistKind.DETERMINISTIC:
+        return dist.mean, 0.0
+    if dist.kind is DistKind.EXPONENTIAL:
+        return dist.mean, 1.0
+    if dist.kind is DistKind.HYPEREXPONENTIAL:
+        m1 = dist.prob / dist.rate1 + (1.0 - dist.prob) / dist.rate2
+        m2 = 2.0 * (
+            dist.prob / dist.rate1**2 + (1.0 - dist.prob) / dist.rate2**2
+        )
+        return m1, m2 / m1**2 - 1.0
+    # Mixed Erlang: E[X] = (k - p)/mu, Var[X] = (k - p^2)/mu^2.
+    k, p, mu = dist.shape, dist.prob, dist.rate
+    mean = (k - p) / mu
+    var = (k - p * p) / (mu * mu)
+    return mean, var / (mean * mean)
+
+
+def mean_abs_error(
+    report: ErrorReport,
+    method: Method,
+    predicate: Optional[Callable[[ErrorRecord], bool]] = None,
+) -> float:
+    """Mean absolute relative error in percent over the method's records
+    that pass `predicate`, summed in record order; nan when there are none."""
+    errors = [
+        abs(r.rel_err)
+        for r in report.records
+        if r.method is method and (predicate is None or predicate(r))
+    ]
+    return _mean(errors)

@@ -23,20 +23,20 @@ from pollwait import (
     density_at_zero,
     density_at_zero_two_moment_approx,
     derive_moments,
-    detect_exact_cases,
     fit_two_moments,
     materialize_case,
     mean_wait,
     pcl_residual,
     pcl_rhs,
-    realized_moments,
     sampled_bed,
     scale_to_load,
     standard_bed,
     three_queue_demo_spec,
 )
 from pollwait.sim import SimConfig, simulate
-from pollwait.testbed import run_comparison
+from pollwait.testbed import is_exact_case, run_comparison
+
+from _helpers import mean_abs_error, realized_moments
 
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
@@ -294,7 +294,7 @@ def sampled_report():
 def test_criterion_6_exact_cases_and_error_trend(sampled_report):
     with criterion("criterion 6 (exact cases and error trend)"):
         cases = standard_bed()
-        exact = detect_exact_cases(cases, EXH)
+        exact = [i for i, case in enumerate(cases) if is_exact_case(case, EXH)]
         assert len(exact) == 193
         assert all(cases[i].scv_interarrival == 1.0 for i in exact)
         asymmetric = [
@@ -336,8 +336,10 @@ def test_criterion_6_exact_cases_and_error_trend(sampled_report):
                 assert abs(value[i] - est.mean_wait[i]) <= 3.0 * est.ci_half_width[i]
 
         by_n = {
-            n: sampled_report.mean_abs_error(
-                Method.INTERPOLATION, lambda r, n=n: r.case.n_queues == n
+            n: mean_abs_error(
+                sampled_report,
+                Method.INTERPOLATION,
+                lambda r, n=n: r.case.n_queues == n,
             )
             for n in (2, 3, 4, 5)
         }
@@ -348,12 +350,12 @@ def test_criterion_6_exact_cases_and_error_trend(sampled_report):
 def test_criterion_7_comparator_sanity(sampled_report):
     with criterion("criterion 7 (comparator sanity)"):
         low = lambda r: r.case.n_queues == 2 and r.case.rho == 0.1
-        assert sampled_report.mean_abs_error(Method.HT_ONLY, low) > 25.0
-        assert sampled_report.mean_abs_error(Method.INTERPOLATION, low) < 5.0
+        assert mean_abs_error(sampled_report, Method.HT_ONLY, low) > 25.0
+        assert mean_abs_error(sampled_report, Method.INTERPOLATION, low) < 5.0
 
         lt_by_rho = [
-            sampled_report.mean_abs_error(
-                Method.LT_ONLY, lambda r, rho=rho: r.case.rho == rho
+            mean_abs_error(
+                sampled_report, Method.LT_ONLY, lambda r, rho=rho: r.case.rho == rho
             )
             for rho in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
@@ -381,8 +383,8 @@ def test_criterion_7_comparator_sanity(sampled_report):
             base_seed=555,
             jobs=1,
         )
-        interp_high = extreme_report.mean_abs_error(Method.INTERPOLATION)
-        lt_high = extreme_report.mean_abs_error(Method.LT_ONLY)
+        interp_high = mean_abs_error(extreme_report, Method.INTERPOLATION)
+        lt_high = mean_abs_error(extreme_report, Method.LT_ONLY)
         assert interp_high < lt_high
         assert interp_high < 25.0
 

@@ -128,7 +128,6 @@ def test_constants_match_exact_rationals():
             assert math.isclose(c.k0, k0, rel_tol=1e-12)
             assert math.isclose(c.k1, k1, rel_tol=1e-12)
             assert math.isclose(c.k2, k2, rel_tol=1e-12)
-            assert c.queue == i
 
 
 def test_heavy_traffic_delay_matches_exact_rationals():

@@ -588,6 +588,33 @@ def test_program_fault_is_not_reported_as_invalid_input(monkeypatch):
         main(["analyze", "--preset", "three-queue", "--rho", "0.5"])
 
 
+def test_closed_stdout_is_not_an_io_failure():
+    # The reader of stdout has quit before anything is written, as when a
+    # pipe into `head` closes early: no error line, and 128 + SIGPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pollwait.__file__))
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from pollwait.cli import main; "
+                "sys.exit(main(['demo-spec']))",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_testbed_unwritable_output(capsys, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -12,9 +12,10 @@ from pollwait import (
     density_at_zero,
     density_at_zero_two_moment_approx,
     fit_two_moments,
-    realized_moments,
     sample_array,
 )
+
+from _helpers import realized_moments
 
 
 def test_kind_selection_by_scv():

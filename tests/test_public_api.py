@@ -1,9 +1,12 @@
 """The package's public names, pinned so that any change shows in a diff."""
 
+import importlib.util
+import pathlib
+
 import pytest
 
 import pollwait
-from pollwait import approx, testbed
+from pollwait import approx, cli, fitting, testbed
 
 PUBLIC_NAMES = [
     "DensityMode",
@@ -28,7 +31,6 @@ PUBLIC_NAMES = [
     "density_at_zero",
     "density_at_zero_two_moment_approx",
     "derive_moments",
-    "detect_exact_cases",
     "fit_two_moments",
     "is_exact_case",
     "materialize_case",
@@ -36,7 +38,6 @@ PUBLIC_NAMES = [
     "pcl_residual",
     "pcl_rhs",
     "poisson_bed",
-    "realized_moments",
     "run_comparison",
     "sample_array",
     "sampled_bed",
@@ -67,7 +68,6 @@ def test_report_tables_replace_the_table_helpers():
         "ErrorRecord",
         "ErrorReport",
         "TestBedCase",
-        "detect_exact_cases",
         "high_variation_poisson_bed",
         "is_exact_case",
         "materialize_case",
@@ -81,6 +81,17 @@ def test_report_tables_replace_the_table_helpers():
         "three_queue_demo_spec",
         "two_queue_small_switchover_spec",
         "write_report_files",
+    ]
+
+
+def test_fitting_exports_what_the_model_and_simulator_use():
+    assert sorted(fitting.__all__) == [
+        "DistKind",
+        "FittedDistribution",
+        "density_at_zero",
+        "density_at_zero_two_moment_approx",
+        "fit_two_moments",
+        "sample_array",
     ]
 
 
@@ -100,3 +111,19 @@ def test_star_import_resolves_every_public_name(module):
     # A star import raises AttributeError on any name in __all__ that the
     # module does not define.
     exec(f"from {module} import *", {})
+
+
+def test_bench_tracer_wraps_names_that_exist():
+    # The benchmark's tracer replaces module attributes by name on entry
+    # and restores them on exit; a rename in the package breaks it.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracer", root / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    before = [getattr(module, attr) for module, attr, _ in tracer.WRAPPED]
+    with tracer.Tracer() as t:
+        cli.main(["demo-spec"])
+    assert [getattr(module, attr) for module, attr, _ in tracer.WRAPPED] == before
+    assert t.spans[0][tracer.NAME] == "cli.demo-spec"

@@ -12,7 +12,6 @@ from pollwait import (
     InvalidInput,
     Method,
     TestBedCase,
-    detect_exact_cases,
     is_exact_case,
     materialize_case,
     poisson_bed,
@@ -33,6 +32,8 @@ from pollwait.testbed import (
     two_queue_small_switchover_spec,
     write_report_files,
 )
+
+from _helpers import mean_abs_error
 
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
@@ -91,6 +92,8 @@ def test_case_validation():
         TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0)
     with pytest.raises(InvalidInput, match="switchover_service_ratio must be positive"):
         TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(InvalidInput, match="imbalance_interarrival must be finite"):
+        TestBedCase(2, 0.5, 1.0, 1.0, 1.0, math.inf, 1.0, 1.0)
 
 
 def test_materialize_five_queue_case():
@@ -124,8 +127,8 @@ def test_materialize_balanced_case_is_symmetric():
 
 def test_exact_case_detection_on_standard_bed():
     cases = standard_bed()
-    exhaustive = detect_exact_cases(cases, EXH)
-    gated = detect_exact_cases(cases, GAT)
+    exhaustive = [i for i, case in enumerate(cases) if is_exact_case(case, EXH)]
+    gated = [i for i, case in enumerate(cases) if is_exact_case(case, GAT)]
     assert len(exhaustive) == 193
     assert len(gated) == 192
     assert all(cases[i].scv_interarrival == 1.0 for i in exhaustive)
@@ -258,16 +261,16 @@ def test_bin_table_edges():
 def test_mean_abs_error_and_facets():
     report = synthetic_report()
     assert math.isclose(
-        report.mean_abs_error(Method.INTERPOLATION),
+        mean_abs_error(report, Method.INTERPOLATION),
         100.0 * (0.049 + 0.05 + 0.099 + 0.10 + 0.15 + 0.21) / 6,
         rel_tol=1e-12,
     )
     assert math.isclose(
-        report.mean_abs_error(Method.INTERPOLATION, lambda r: r.rel_err > 0.1),
+        mean_abs_error(report, Method.INTERPOLATION, lambda r: r.rel_err > 0.1),
         100.0 * (0.15 + 0.21) / 2,
         rel_tol=1e-12,
     )
-    assert math.isnan(report.mean_abs_error(Method.HT_ONLY))
+    assert math.isnan(mean_abs_error(report, Method.HT_ONLY))
     columns, rows, _ = report_tables(report, Method.INTERPOLATION)[
         "mean_error_by_load"
     ]
@@ -307,8 +310,12 @@ def test_csv_round_trip(tmp_path):
             "line 3: invalid literal",
         ),
         (lambda rows: [*rows[:2], rows[2][:-1], *rows[3:]], "line 3: zip"),
+        (
+            lambda rows: [*rows[:2], [*rows[2][:4], "nan", *rows[2][5:]], *rows[3:]],
+            "line 3: scv_service must be finite, got nan",
+        ),
     ],
-    ids=["header", "cell", "short-row"],
+    ids=["header", "cell", "short-row", "nan"],
 )
 def test_report_from_csv_rejects_malformed_file(tmp_path, mutate, message):
     path = tmp_path / "records.csv"
