@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -73,13 +74,28 @@ class DensityMode(Enum):
         return cls.EXACT if value in legacy else None
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidInput(msg)
+def _number(value, label: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInput(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"{label} is too large for a float") from None
 
 
-def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+def _integer(value, label: str) -> int:
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidInput(f"{label} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _choice(kind: type[Enum], value, label: str) -> Enum:
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidInput(
+            f"{label} must be one of {[m.value for m in kind]}, got {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -114,51 +130,58 @@ class QueueSpec:
     density_value: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require(
-            _finite(self.mean_service) and self.mean_service > 0.0,
-            f"mean_service must be positive, got {self.mean_service!r}",
-        )
-        _require(
-            _finite(self.mean_interarrival_at_saturation)
-            and self.mean_interarrival_at_saturation > 0.0,
-            "mean_interarrival_at_saturation must be positive, got "
-            f"{self.mean_interarrival_at_saturation!r}",
-        )
-        _require(
-            self.load_fraction > 0.0,
-            "load fraction mean_service / mean_interarrival_at_saturation "
-            f"must be positive, got {self.mean_service!r} / "
-            f"{self.mean_interarrival_at_saturation!r}",
-        )
-        _require(
-            _finite(self.mean_switchover) and self.mean_switchover >= 0.0,
-            f"mean_switchover must be >= 0, got {self.mean_switchover!r}",
-        )
+        for label in _QUEUE_NUMBERS:
+            value = _number(getattr(self, label), label)
+            object.__setattr__(self, label, value)
+        mode = _choice(DensityMode, self.density_mode, "density_mode")
+        object.__setattr__(self, "density_mode", mode)
+        if self.density_value is not None:
+            value = _number(self.density_value, "density_value")
+            object.__setattr__(self, "density_value", value)
+        if not (math.isfinite(self.mean_service) and self.mean_service > 0.0):
+            raise InvalidInput(
+                f"mean_service must be positive, got {self.mean_service!r}"
+            )
+        mean_a = self.mean_interarrival_at_saturation
+        if not (math.isfinite(mean_a) and mean_a > 0.0):
+            raise InvalidInput(
+                f"mean_interarrival_at_saturation must be positive, got {mean_a!r}"
+            )
+        if not self.load_fraction > 0.0:
+            raise InvalidInput(
+                "load fraction mean_service / mean_interarrival_at_saturation "
+                f"must be positive, got {self.mean_service!r} / {mean_a!r}"
+            )
+        mean_s = self.mean_switchover
+        if not (math.isfinite(mean_s) and mean_s >= 0.0):
+            raise InvalidInput(f"mean_switchover must be >= 0, got {mean_s!r}")
         for label in ("scv_service", "scv_interarrival", "scv_switchover"):
             value = getattr(self, label)
-            _require(
-                _finite(value) and value >= 0.0,
-                f"{label} must be >= 0 and finite, got {value!r}",
-            )
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidInput(
+                    f"{label} must be >= 0 and finite, got {value!r}"
+                )
 
-        if self.density_mode is DensityMode.USER_VALUE:
-            _require(
-                self.density_value is not None
-                and _finite(self.density_value)
-                and self.density_value >= 0.0,
-                "density_value must be a finite value >= 0 with "
-                f"USER_VALUE, got {self.density_value!r}",
-            )
-        else:
-            _require(
-                self.density_value is None,
-                "density_value is only allowed with DensityMode.USER_VALUE",
+        value = self.density_value
+        if mode is DensityMode.USER_VALUE:
+            if value is None or not (math.isfinite(value) and value >= 0.0):
+                raise InvalidInput(
+                    "density_value must be a finite value >= 0 with "
+                    f"USER_VALUE, got {value!r}"
+                )
+        elif value is not None:
+            raise InvalidInput(
+                "density_value is only allowed with DensityMode.USER_VALUE"
             )
 
     @property
     def load_fraction(self) -> float:
         """Share of the total load carried by this queue."""
         return self.mean_service / self.mean_interarrival_at_saturation
+
+
+# The float fields of QueueSpec: all but the density source.
+_QUEUE_NUMBERS = [f.name for f in dataclasses.fields(QueueSpec)][:6]
 
 
 @dataclass(frozen=True)
@@ -175,21 +198,27 @@ class SystemSpec:
     rho: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "queues", tuple(self.queues))
-        _require(len(self.queues) >= 1, "a system needs at least one queue")
-        _require(
-            _finite(self.rho) and 0.0 <= self.rho < 1.0,
-            f"rho must satisfy 0 <= rho < 1, got {self.rho!r}",
-        )
-        total = sum(q.load_fraction for q in self.queues)
-        _require(
-            abs(total - 1.0) <= LOAD_FRACTION_TOL,
-            f"load fractions must sum to 1, got {total!r}",
-        )
-        _require(
-            any(q.mean_switchover > 0.0 for q in self.queues),
-            "at least one switch-over time must have a positive mean",
-        )
+        queues = self.queues
+        if not isinstance(queues, (tuple, list)) or not all(
+            isinstance(q, QueueSpec) for q in queues
+        ):
+            raise InvalidInput("queues must be a tuple or list of QueueSpec")
+        if not queues:
+            raise InvalidInput("a system needs at least one queue")
+        object.__setattr__(self, "queues", tuple(queues))
+        discipline = _choice(Discipline, self.discipline, "discipline")
+        object.__setattr__(self, "discipline", discipline)
+        rho = _number(self.rho, "rho")
+        object.__setattr__(self, "rho", rho)
+        if not (math.isfinite(rho) and 0.0 <= rho < 1.0):
+            raise InvalidInput(f"rho must satisfy 0 <= rho < 1, got {rho!r}")
+        total = sum(q.load_fraction for q in queues)
+        if not abs(total - 1.0) <= LOAD_FRACTION_TOL:
+            raise InvalidInput(f"load fractions must sum to 1, got {total!r}")
+        if not any(q.mean_switchover > 0.0 for q in queues):
+            raise InvalidInput(
+                "at least one switch-over time must have a positive mean"
+            )
 
     @property
     def n(self) -> int:

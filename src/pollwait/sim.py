@@ -31,6 +31,7 @@ queue 0 with all queues empty and fresh interarrival countdowns.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .fitting import (
     fit_two_moments,
     sample_array,
 )
-from .model import Discipline, SystemSpec
+from .model import Discipline, SystemSpec, _integer
 
 __all__ = ["SimConfig", "SimEstimate", "simulate"]
 
@@ -72,6 +73,9 @@ class SimConfig:
     max_events: int = 500_000_000
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = _integer(getattr(self, field.name), field.name)
+            object.__setattr__(self, field.name, value)
         if self.warmup_cycles < 0:
             raise InvalidInput("warmup_cycles must be >= 0")
         if self.batch_count < 2:

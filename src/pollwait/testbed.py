@@ -38,6 +38,8 @@ from .model import (
     Discipline,
     QueueSpec,
     SystemSpec,
+    _integer,
+    _number,
 )
 from .sim import SimConfig, _customers_per_cycle, simulate
 
@@ -87,11 +89,14 @@ class TestBedCase:
     switchover_service_ratio: float
 
     def __post_init__(self) -> None:
-        # nan and inf would pass the range checks below.
+        n_queues = _integer(self.n_queues, "n_queues")
+        object.__setattr__(self, "n_queues", n_queues)
         for label in _FLOAT_FIELDS:
-            value = getattr(self, label)
+            value = _number(getattr(self, label), label)
+            # nan and inf would pass the range checks below.
             if not math.isfinite(value):
                 raise InvalidInput(f"{label} must be finite, got {value!r}")
+            object.__setattr__(self, label, value)
         if self.n_queues < 1:
             raise InvalidInput(f"n_queues must be >= 1, got {self.n_queues}")
         if not 0.0 < self.rho < 1.0:
@@ -426,7 +431,7 @@ def run_comparison(
         Every case derives its own seed from this and its index, so
         results do not depend on `jobs`.
     jobs : int, optional
-        Worker processes; defaults to the CPU count.
+        Worker processes, at least 1; defaults to the CPU count.
 
     Returns
     -------
@@ -444,6 +449,10 @@ def run_comparison(
         )
     if base_seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {base_seed}")
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
     run_case = functools.partial(
         _run_case,
         discipline,
@@ -453,7 +462,6 @@ def run_comparison(
         target_customers,
         replications,
     )
-    jobs = max(1, jobs) if jobs is not None else (os.cpu_count() or 1)
     if jobs == 1 or len(cases) <= 1:
         chunks = [run_case(item) for item in enumerate(cases)]
     else:
@@ -576,14 +584,20 @@ def report_from_csv(path: str) -> ErrorReport:
                     for decode, cell in zip(_CSV_FROM_TEXT, row, strict=True)
                 ]
                 values[_CASE_COLUMNS] = [TestBedCase(*values[_CASE_COLUMNS])]
-                records.append(ErrorRecord(*values))
+                record = ErrorRecord(*values)
+                if records and record.discipline is not records[0].discipline:
+                    raise InvalidInput(
+                        f"discipline {record.discipline.value} after "
+                        f"{records[0].discipline.value} records"
+                    )
+                records.append(record)
         except (ValueError, csv.Error) as exc:
             # InvalidInput and UnicodeDecodeError are ValueErrors too.
             raise InvalidInput(f"{path}: line {rows.line_num}: {exc}") from None
     if not records:
         raise InvalidInput(f"no records in {path}")
     return ErrorReport(
-        discipline=records[-1].discipline,
+        discipline=records[0].discipline,
         methods=tuple(dict.fromkeys(r.method for r in records)),
         records=records,
     )

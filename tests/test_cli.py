@@ -290,7 +290,7 @@ def _plain_queue(mean_service):
         ),
         (
             lambda d: d["queues"][1].update(density_value="z"),
-            "queues[1].density_value must be a number, got 'z'",
+            "queues[1]: density_value must be a number, got 'z'",
         ),
         (
             # Fractions 1.0 and 0.0 sum to one, but the second is empty.
@@ -632,7 +632,12 @@ def test_testbed_unwritable_output(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--reps", "0"), ("--target-samples", "-5"), ("--seed", "-1")],
+    [
+        ("--reps", "0"),
+        ("--target-samples", "-5"),
+        ("--seed", "-1"),
+        ("--jobs", "0"),
+    ],
 )
 def test_testbed_rejects_empty_run_sizes(capsys, tmp_path, option, value):
     out_dir = tmp_path / "bed"
@@ -767,5 +772,5 @@ def test_spec_file_error_does_not_depend_on_hash_seed(tmp_path):
     assert first == (
         2,
         "",
-        f"error: {path}: queues[0].mean_service must be a number, got 'x'\n",
+        f"error: {path}: queues[0]: mean_service must be a number, got 'x'\n",
     )

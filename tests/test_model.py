@@ -9,12 +9,16 @@ from pollwait import (
     DensityMode,
     Discipline,
     InvalidInput,
+    Method,
     QueueSpec,
+    SimConfig,
     SystemSpec,
     density_at_zero,
     derive_moments,
     fit_two_moments,
+    mean_wait,
     scale_to_load,
+    simulate,
 )
 
 
@@ -80,6 +84,31 @@ def test_density_mode_compatibility():
         make_queue(density_value=0.5)
     make_queue(density_mode=DensityMode.USER_VALUE, density_value=0.8)
     make_queue(scv_interarrival=1.0, density_mode=DensityMode.EXACT_MIXED_ERLANG)
+
+
+def test_enum_fields_take_their_string_values():
+    # A spec file names each enum member by its value; the constructors
+    # read that value as the member itself.
+    def build(mode, discipline):
+        queues = (
+            make_queue(scv_interarrival=0.5, density_mode=mode),
+            make_queue(scv_interarrival=3.0),
+        )
+        return SystemSpec(queues=queues, discipline=discipline, rho=0.5)
+
+    members = build(DensityMode.TWO_MOMENT_APPROX, Discipline.GATED)
+    strings = build("two-moment-approx", "gated")
+    assert strings == members
+    assert strings.queues[0].density_mode is DensityMode.TWO_MOMENT_APPROX
+    assert strings.discipline is Discipline.GATED
+    assert derive_moments(strings) == derive_moments(members)
+    assert derive_moments(strings).density_at_zero[0] == 0.5**4
+    for method in Method:
+        assert mean_wait(strings, method) == mean_wait(members, method)
+    cfg = SimConfig(
+        warmup_cycles=200, measured_cycles=2_000, replications=2, batch_count=10
+    )
+    assert simulate(strings, cfg) == simulate(members, cfg)
 
 
 def test_density_modes_and_legacy_spellings():

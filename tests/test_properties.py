@@ -8,7 +8,8 @@ computation gives, and a spec rebuilt field by field must give the same
 output as the original.
 
 Spec files round-trip every valid system, and a demo spec file with one
-defect is rejected with exit code 2 and a one-line error.
+defect is rejected with exit code 2 and a one-line error.  A value that
+a spec file rejects is rejected by the constructor of its field too.
 
 Examples are drawn deterministically (``derandomize=True``), so the suite
 runs the same cases every time.
@@ -22,12 +23,14 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pollwait import (
     DensityMode,
     Discipline,
+    InvalidInput,
     Method,
     QueueSpec,
     SystemSpec,
@@ -271,3 +274,33 @@ def test_broken_spec_file_is_one_error_line(data):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "owner, field",
+    [("system", f.name) for f in dataclasses.fields(SystemSpec)]
+    + [("queue", f.name) for f in dataclasses.fields(QueueSpec)],
+)
+@PROPERTY_SETTINGS
+@given(value=_BAD_VALUES)
+def test_constructor_rejects_what_a_spec_file_rejects(owner, field, value):
+    # null is how a file says "no density value", so it is valid.
+    assume(not (field == "density_value" and value is None))
+    spec = three_queue_demo_spec(0.5)
+    data = spec_to_dict(spec)
+    if owner == "system":
+        kind, source, target = SystemSpec, spec, data
+    else:
+        kind, source, target = QueueSpec, spec.queues[1], data["queues"][1]
+    kwargs = {f.name: getattr(source, f.name) for f in dataclasses.fields(kind)}
+    if field == "density_value":
+        # Under USER_VALUE the value itself is checked, not its presence.
+        kwargs["density_mode"] = DensityMode.USER_VALUE
+        target["density_mode"] = DensityMode.USER_VALUE.value
+    kwargs[field] = target[field] = value
+    with pytest.raises(InvalidInput):
+        kind(**kwargs)
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write_json(directory, data)
+        with pytest.raises(InvalidInput):
+            load_spec_file(path)

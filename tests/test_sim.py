@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pollwait import (
@@ -61,6 +62,17 @@ def test_config_validation():
         SimConfig(replications=0)
     with pytest.raises(ValueError):
         SimConfig(max_events=0)
+
+
+def test_config_field_types():
+    with pytest.raises(InvalidInput, match="measured_cycles must be an integer, got 2000.5"):
+        SimConfig(measured_cycles=2000.5)
+    with pytest.raises(InvalidInput, match="replications must be an integer, got True"):
+        SimConfig(replications=True)
+    with pytest.raises(InvalidInput, match="base_seed must be an integer, got '7'"):
+        SimConfig(base_seed="7")
+    # numpy integers are integers.
+    assert SimConfig(replications=np.int64(3)) == SimConfig(replications=3)
 
 
 def test_zero_load_is_rejected():

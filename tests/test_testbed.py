@@ -96,6 +96,21 @@ def test_case_validation():
         TestBedCase(2, 0.5, 1.0, 1.0, 1.0, math.inf, 1.0, 1.0)
 
 
+def test_case_field_types():
+    # An integer type for n_queues, numbers (not bools) for the rest.
+    with pytest.raises(InvalidInput, match="n_queues must be an integer, got 2.5"):
+        TestBedCase(2.5, 0.5, 1, 1, 1, 1, 1, 1)
+    with pytest.raises(InvalidInput, match="n_queues must be an integer, got True"):
+        TestBedCase(True, 0.5, 1, 1, 1, 1, 1, 1)
+    with pytest.raises(InvalidInput, match="rho must be a number, got '0.5'"):
+        TestBedCase(2, "0.5", 1, 1, 1, 1, 1, 1)
+    with pytest.raises(InvalidInput, match="scv_service must be a number, got True"):
+        TestBedCase(2, 0.5, 1, True, 1, 1, 1, 1)
+    case = TestBedCase(np.int64(2), 0.5, 1, 1, 1, 1, 1, 1)
+    assert case == TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    assert type(case.n_queues) is int and type(case.scv_service) is float
+
+
 def test_materialize_five_queue_case():
     case = TestBedCase(5, 0.7, 1.0, 0.25, 1.0, 5.0, 5.0, 2.0)
     spec = materialize_case(case, EXH)
@@ -314,8 +329,12 @@ def test_csv_round_trip(tmp_path):
             lambda rows: [*rows[:2], [*rows[2][:4], "nan", *rows[2][5:]], *rows[3:]],
             "line 3: scv_service must be finite, got nan",
         ),
+        (
+            lambda rows: [*rows, [*rows[-1][:9], "gated", *rows[-1][10:]]],
+            "line 8: discipline gated after exhaustive records",
+        ),
     ],
-    ids=["header", "cell", "short-row", "nan"],
+    ids=["header", "cell", "short-row", "nan", "mixed-disciplines"],
 )
 def test_report_from_csv_rejects_malformed_file(tmp_path, mutate, message):
     path = tmp_path / "records.csv"
