@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``analyze``   closed-form waiting times for one system and load
-* ``sweep``     waiting times over a load grid, optionally with
-                simulation points, as CSV
+* ``sweep``     waiting times over a load grid, as CSV; with
+                ``--with-sim``, simulation points too
 * ``simulate``  discrete-event simulation of one system, as JSON
 * ``testbed``   accuracy comparison on a parameter grid, written to a
                 directory of tables
@@ -13,7 +13,8 @@ Subcommands:
 System descriptions are JSON files with a ``version`` field (currently
 ``"v1"``), a ``discipline``, an optional ``rho``, and a list of queues in
 visit order.  Unknown fields and non-finite numbers are rejected.
-``testbed --jobs`` must be at least 1.
+``--preset NAME`` is the file ``demo-spec --preset NAME`` prints (load
+0.7, exhaustive).  ``testbed --jobs`` must be at least 1.
 
 Exit codes: 0 success, 2 ``InvalidInput``, 3 ``NumericalBudget``, 4
 ``OSError``, and 141 (128 + SIGPIPE), with nothing on stderr, when the
@@ -220,16 +221,16 @@ _PRESETS = {
 }
 
 
-def _resolve_spec(args, rho: Optional[float] = None) -> SystemSpec:
+def _resolve_spec(args, rho: Optional[float]) -> SystemSpec:
+    # A preset is the file demo-spec prints; flags override either alike.
     if (args.spec is None) == (args.preset is None):
         raise InvalidInput("give either a spec file or --preset, not both")
-    discipline = Discipline(args.discipline) if args.discipline else None
     if args.preset is not None:
         return _PRESETS[args.preset](
-            rho if rho is not None else 0.5,
-            discipline or Discipline.EXHAUSTIVE,
+            0.7 if rho is None else rho,
+            args.discipline or Discipline.EXHAUSTIVE,
         )
-    return load_spec_file(args.spec, rho=rho, discipline=discipline)
+    return load_spec_file(args.spec, rho=rho, discipline=args.discipline)
 
 
 def _format_float(x: float) -> str:
@@ -303,8 +304,6 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     grid = _parse_rho_grid(args.rho_grid)
     methods = _parse_methods(args.methods)
-    with_sim = args.with_sim or (args.preset is not None and not args.no_sim)
-
     base = _resolve_spec(args, rho=grid[0])
     lines = ["rho,queue,method,mean_wait,ci_half_width"]
     for rho in grid:
@@ -316,7 +315,7 @@ def _cmd_sweep(args) -> int:
                     f"{_format_float(rho)},{i},{method.value},"
                     f"{_format_float(result.mean_wait[i])},"
                 )
-        if with_sim and rho > 0.0:
+        if args.with_sim and rho > 0.0:
             cfg = SimConfig(
                 warmup_cycles=max(200, args.sim_cycles // 10),
                 measured_cycles=args.sim_cycles,
@@ -400,7 +399,7 @@ def _cmd_testbed(args) -> int:
 
 
 def _cmd_demo_spec(args) -> int:
-    spec = _PRESETS[args.preset](args.rho, Discipline(args.discipline))
+    spec = _resolve_spec(args, rho=args.rho)
     print(json.dumps(spec_to_dict(spec), indent=2))
     return _EXIT_OK
 
@@ -461,21 +460,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=Method.INTERPOLATION.value,
         help="comma-separated method names",
     )
-    sim_flags = p.add_mutually_exclusive_group()
-    sim_flags.add_argument(
+    p.add_argument(
         "--with-sim",
         action="store_true",
         help="add simulation points at every grid load",
     )
-    sim_flags.add_argument(
-        "--no-sim",
-        action="store_true",
-        help="suppress the simulation points a preset adds by default",
-    )
-    p.add_argument("--sim-cycles", type=int, default=20_000)
-    p.add_argument("--sim-reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=defaults.base_seed)
-    p.add_argument("--max-events", type=int, default=200_000_000)
+    sim_flags = p.add_argument_group(description="read only with --with-sim")
+    sim_flags.add_argument("--sim-cycles", type=int, default=20_000)
+    sim_flags.add_argument("--sim-reps", type=int, default=3)
+    sim_flags.add_argument("--seed", type=int, default=defaults.base_seed)
+    sim_flags.add_argument("--max-events", type=int, default=200_000_000)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_sweep)
 
@@ -522,13 +516,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--preset", default="three-queue", choices=sorted(_PRESETS)
     )
-    p.add_argument("--rho", type=float, default=0.7)
-    p.add_argument(
-        "--discipline",
-        default=Discipline.EXHAUSTIVE.value,
-        choices=[d.value for d in Discipline],
-    )
-    p.set_defaults(func=_cmd_demo_spec)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--discipline", choices=[d.value for d in Discipline])
+    p.set_defaults(func=_cmd_demo_spec, spec=None)
 
     return parser
 

@@ -17,6 +17,13 @@ scv                   fitted law
 The mixture-of-Erlangs fit uses shape ``k = ceil(1/scv)`` and mixes
 ``Erlang(k-1)`` and ``Erlang(k)`` with a common rate, which matches both
 moments exactly for any scv in (0, 1].
+
+The fit is made for scv 0 and for scv in [1e-15, 1e6], where the fitted
+law's mean and scv match the targets within 1e-10 relative.  Below 1e-15
+the Erlang shape passes 1e15 stages, near where a float stops counting
+whole numbers (2**53); above 1e6 the hyperexponential's rare branch, of
+probability about ``1/(2 scv)``, is too small for ``prob`` and a drawn
+uniform to resolve.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ __all__ = [
     "density_at_zero_two_moment_approx",
     "sample_array",
 ]
+
+# The fitted scv range besides 0; see the module docstring.
+_SCV_MIN, _SCV_MAX = 1e-15, 1e6
 
 # ceil(1/scv) is wobbly when 1/scv lands on an integer up to float error,
 # e.g. 1/0.2 == 5.000000000000001; nudge before taking the ceiling.
@@ -81,12 +91,13 @@ def fit_two_moments(mean: float, scv: float) -> FittedDistribution:
     mean : float
         Target mean, must be positive and finite.
     scv : float
-        Target squared coefficient of variation, must be >= 0 and finite.
+        Target squared coefficient of variation: 0, or in [1e-15, 1e6].
 
     Returns
     -------
     FittedDistribution
-        A law whose first two moments match the targets exactly.
+        A law whose first two moments match the targets within 1e-10
+        relative, and which `sample_array` draws from.
 
     Raises
     ------
@@ -95,8 +106,11 @@ def fit_two_moments(mean: float, scv: float) -> FittedDistribution:
     """
     if not (math.isfinite(mean) and mean > 0.0):
         raise InvalidInput(f"mean must be positive and finite, got {mean!r}")
-    if not (math.isfinite(scv) and scv >= 0.0):
-        raise InvalidInput(f"scv must be >= 0 and finite, got {scv!r}")
+    if not (scv == 0.0 or _SCV_MIN <= scv <= _SCV_MAX):
+        raise InvalidInput(
+            f"scv must be 0 or in [{_SCV_MIN:g}, {_SCV_MAX:g}] to be fitted, "
+            f"got {scv!r}"
+        )
 
     if scv == 0.0:
         return FittedDistribution(DistKind.DETERMINISTIC, mean, 0.0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -56,8 +57,8 @@ class DensityMode(Enum):
     The waiting-time constants need the value ``mean * g(0)`` of each
     interarrival law.  It can be taken from the two-moment approximation
     rule, computed exactly for the law ``fit_two_moments`` fits to the scv
-    (``EXACT``, valid at every scv), or supplied by the caller when the
-    true law is known.
+    (``EXACT``, valid at every scv it fits), or supplied by the caller when
+    the true law is known.
     """
 
     TWO_MOMENT_APPROX = "two-moment-approx"
@@ -75,7 +76,12 @@ class DensityMode(Enum):
 
 
 def _number(value, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # Real numbers, numpy scalars among them, but no bools (numpy's bool is
+    # not a numbers.Real); plain floats and ints skip the slower check.
+    kind = type(value)
+    if kind is not float and kind is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         raise InvalidInput(f"{label} must be a number, got {value!r}")
     try:
         return float(value)

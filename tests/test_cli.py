@@ -179,7 +179,7 @@ def test_spec_file_and_preset_together_are_invalid(capsys, tmp_path, command):
     path = write_spec(tmp_path, demo_dict())
     argv = [command, path, "--preset", "three-queue"]
     if command == "sweep":
-        argv += ["--rho-grid", "0.3:0.3:1", "--no-sim"]
+        argv += ["--rho-grid", "0.3:0.3:1"]
     elif command == "simulate":
         argv += ["--rho", "0.3", "--cycles", "2000", "--reps", "1"]
     code, out, err = run(capsys, *argv)
@@ -219,6 +219,32 @@ def test_spec_file_rejections(capsys, tmp_path, mutate):
     code, _, err = run(capsys, "analyze", path)
     assert code == 2
     assert "error:" in err
+
+
+def test_spec_file_top_level_must_be_an_object(capsys, tmp_path):
+    path = write_spec(tmp_path, [demo_dict()])
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out, err) == (2, "", f"error: {path}: top level must be an object\n")
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("simulate", "scv_service", 1e-30),
+        ("simulate", "scv_switchover", 1e17),
+        ("analyze", "scv_interarrival", 1e-300),
+    ],
+)
+def test_unfittable_scv_is_invalid(capsys, tmp_path, command, field, value):
+    # The simulator, and the exact density, need a law fitted to the scv.
+    data = demo_dict()
+    data["queues"][1][field] = value
+    path = write_spec(tmp_path, data)
+    flags = ["--cycles", "2000"] if command == "simulate" else []
+    code, out, err = run(capsys, command, path, *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scv must be 0 or in") and err.count("\n") == 1
+    assert repr(value) in err
 
 
 def test_spec_file_rejects_nan_literal(capsys, tmp_path):
@@ -349,7 +375,6 @@ def test_sweep_row_counts(capsys):
         "three-queue",
         "--rho-grid",
         "0:0.9:0.3",
-        "--no-sim",
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -365,7 +390,6 @@ def test_sweep_row_counts(capsys):
         "three-queue",
         "--rho-grid",
         "0:0.9:0.3",
-        "--no-sim",
         "--methods",
         "interpolation,lt-only",
     )
@@ -415,6 +439,7 @@ def test_bad_option_value_names_the_option(
     if command == "sweep":
         # A later --rho-grid replaces this one.
         argv = ["sweep", "--preset", "three-queue", "--rho-grid", "0.5:0.5:1"]
+        argv += ["--with-sim"]
     elif command == "simulate":
         argv = ["simulate", "--preset", "three-queue", "--cycles", "2000"]
     else:
@@ -442,15 +467,6 @@ def test_sweep_unknown_method(capsys):
     assert "unknown method" in err
 
 
-def test_sweep_with_sim_and_no_sim_is_a_usage_error(capsys):
-    argv = ["sweep", "--preset", "three-queue", "--rho-grid", "0.5:0.5:1"]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--with-sim", "--no-sim"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--with-sim" in err and "--no-sim" in err
-
-
 def test_sweep_preset_adds_simulation_rows(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run(
@@ -460,6 +476,7 @@ def test_sweep_preset_adds_simulation_rows(capsys, tmp_path):
         "three-queue",
         "--rho-grid",
         "0.3:0.3:1",
+        "--with-sim",
         "--sim-cycles",
         "1000",
         "--sim-reps",
@@ -478,6 +495,49 @@ def test_sweep_preset_adds_simulation_rows(capsys, tmp_path):
     for row in sim_rows:
         ci = row.split(",")[-1]
         assert ci and math.isfinite(float(ci))
+
+
+def _outcome(capsys, argv):
+    """Exit code and stdout of `main(argv)`, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["--rho", "0.3"], ["--discipline", "gated"]],
+    ids=["no-override", "rho", "gated"],
+)
+@pytest.mark.parametrize("preset", ["three-queue", "small-switchover"])
+def test_preset_is_the_demo_spec_file(capsys, tmp_path, preset, overrides):
+    code, text = _outcome(capsys, ["demo-spec", "--preset", preset])
+    assert code == 0
+    path = tmp_path / "system.json"
+    path.write_text(text)
+    sweep = ["sweep", "--rho-grid", "0.3:0.6:0.3"]
+    commands = [["analyze", "--format", fmt] for fmt in ("text", "json", "csv")]
+    commands += [
+        sweep,
+        [*sweep, "--with-sim", "--sim-cycles", "2000", "--sim-reps", "2"],
+        ["simulate", "--cycles", "2000", "--reps", "2", "--batches", "10"],
+    ]
+    for command, *flags in commands:
+        from_preset = _outcome(
+            capsys, [command, "--preset", preset, *flags, *overrides]
+        )
+        from_file = _outcome(capsys, [command, str(path), *flags, *overrides])
+        assert from_preset == from_file
+        # sweep takes no --rho: a usage error either way.
+        usage_error = command == "sweep" and "--rho" in overrides
+        assert from_file[0] == (2 if usage_error else 0)
+
+
+def test_no_sim_is_not_an_option(capsys):
+    argv = ["sweep", "--preset", "three-queue", "--rho-grid", "0.5:0.5:1"]
+    assert _outcome(capsys, [*argv, "--no-sim"]) == (2, "")
 
 
 def test_simulate_json_and_determinism(capsys):
@@ -637,6 +697,7 @@ def test_testbed_unwritable_output(capsys, tmp_path):
         ("--target-samples", "-5"),
         ("--seed", "-1"),
         ("--jobs", "0"),
+        ("--methods", ","),
     ],
 )
 def test_testbed_rejects_empty_run_sizes(capsys, tmp_path, option, value):

@@ -1,6 +1,7 @@
 """Tests for two-moment distribution fitting and density evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,3 +188,24 @@ def test_invalid_targets_rejected():
             fit_two_moments(mean, scv)
     with pytest.raises(InvalidInput, match="scv must be >= 0 and finite"):
         density_at_zero_two_moment_approx(-0.5)
+
+
+@pytest.mark.parametrize("scv", [1e-300, 5e-324, 1e-30, 1e16, 1e300])
+def test_unfittable_scv_rejected(scv):
+    # Past the ends of the range a fit would overflow, need an Erlang shape
+    # numpy cannot draw, or lose the hyperexponential's rare branch and
+    # with it half the mean.
+    message = "scv must be 0 or in [1e-15, 1e+06] to be fitted, got " + repr(scv)
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        fit_two_moments(1.0, scv)
+
+
+@pytest.mark.parametrize("scv", [1e-15, 1e-9, 1e3, 1e6])
+def test_fit_holds_to_the_ends_of_its_range(scv):
+    dist = fit_two_moments(2.0, scv)
+    got_mean, got_scv = realized_moments(dist)
+    assert math.isclose(got_mean, 2.0, rel_tol=1e-10)
+    assert math.isclose(got_scv, scv, rel_tol=1e-10)
+    draws = sample_array(dist, np.random.default_rng(1), 1000)
+    assert (draws >= 0.0).all() and np.isfinite(draws).all()
+    assert abs(draws.mean() - 2.0) <= 5.0 * 2.0 * math.sqrt(scv / draws.size)

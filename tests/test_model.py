@@ -13,6 +13,7 @@ from pollwait import (
     QueueSpec,
     SimConfig,
     SystemSpec,
+    TestBedCase,
     density_at_zero,
     derive_moments,
     fit_two_moments,
@@ -167,6 +168,33 @@ def test_system_requires_some_switchover():
         SystemSpec(queues=(silent, silent), discipline=Discipline.EXHAUSTIVE, rho=0.3)
     # One positive switch-over anywhere in the cycle is enough.
     SystemSpec(queues=(silent, make_queue()), discipline=Discipline.EXHAUSTIVE, rho=0.3)
+
+
+def test_system_needs_a_queue():
+    with pytest.raises(InvalidInput, match="^a system needs at least one queue$"):
+        SystemSpec((), "gated", 0.5)
+
+
+def test_numpy_scalars_are_numbers():
+    # numpy integer and floating scalars pass every float field, as int and
+    # float do, and are stored as float; numpy's bool fails, as bool does.
+    plain = SystemSpec((make_queue(), make_queue()), Discipline.GATED, 0.5)
+    numpy_queues = (
+        make_queue(mean_switchover=np.int64(1), scv_service=np.float32(1.0)),
+        make_queue(mean_service=np.float16(1.0), scv_switchover=np.uint8(1)),
+    )
+    spec = SystemSpec(numpy_queues, Discipline.GATED, np.float32(0.5))
+    assert spec == plain
+    assert type(spec.rho) is float
+    assert all(type(q.mean_switchover) is float for q in spec.queues)
+    case = TestBedCase(2, np.float32(0.5), np.int64(1), 1, 1, 1, 1, np.int32(2))
+    assert case == TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
+    assert type(case.scv_interarrival) is float
+    for bad in (True, np.True_):
+        with pytest.raises(InvalidInput, match="mean_switchover must be a number"):
+            make_queue(mean_switchover=bad)
+        with pytest.raises(InvalidInput, match="rho must be a number"):
+            TestBedCase(2, bad, 1, 1, 1, 1, 1, 1)
 
 
 def test_queues_coerced_to_tuple():

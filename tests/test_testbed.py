@@ -132,6 +132,22 @@ def test_materialize_five_queue_case():
     assert math.isclose(sum(q.load_fraction for q in spec.queues), 1.0, rel_tol=1e-12)
 
 
+def test_materialize_one_queue_case():
+    # One queue carries the whole load; the service imbalance has no
+    # second queue to apply to.
+    case = TestBedCase(1, 0.4, 2.0, 0.5, 0.25, 1.0, 5.0, 3.0)
+    spec = materialize_case(case, GAT)
+    (queue,) = spec.queues
+    assert spec.rho == 0.4 and spec.discipline is GAT
+    assert queue.mean_service == queue.mean_interarrival_at_saturation == 0.4
+    assert queue.mean_switchover == 3.0 * 0.4
+    assert (queue.scv_interarrival, queue.scv_service, queue.scv_switchover) == (
+        2.0,
+        0.5,
+        0.25,
+    )
+
+
 def test_materialize_balanced_case_is_symmetric():
     case = TestBedCase(3, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     spec = materialize_case(case, GAT)
@@ -344,6 +360,14 @@ def test_report_from_csv_rejects_malformed_file(tmp_path, mutate, message):
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerows(mutate(rows))
     with pytest.raises(InvalidInput, match=f"^{path}: {message}"):
+        report_from_csv(str(path))
+
+
+def test_report_from_csv_rejects_header_only_file(tmp_path):
+    path = tmp_path / "records.csv"
+    report_to_csv(synthetic_report(), str(path))
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(InvalidInput, match=f"^no records in {path}$"):
         report_from_csv(str(path))
 
 
