@@ -83,6 +83,15 @@ class FittedDistribution:
     rate: Optional[float] = None
 
 
+def _check_fittable(scv: float, name: str) -> None:
+    """Raise unless `fit_two_moments` fits `scv`; the error names `name`."""
+    if not (scv == 0.0 or _SCV_MIN <= scv <= _SCV_MAX):
+        raise InvalidInput(
+            f"{name} must be 0 or in [{_SCV_MIN:g}, {_SCV_MAX:g}] to be fitted, "
+            f"got {scv!r}"
+        )
+
+
 def fit_two_moments(mean: float, scv: float) -> FittedDistribution:
     """Fit a distribution to a mean and squared coefficient of variation.
 
@@ -106,11 +115,7 @@ def fit_two_moments(mean: float, scv: float) -> FittedDistribution:
     """
     if not (math.isfinite(mean) and mean > 0.0):
         raise InvalidInput(f"mean must be positive and finite, got {mean!r}")
-    if not (scv == 0.0 or _SCV_MIN <= scv <= _SCV_MAX):
-        raise InvalidInput(
-            f"scv must be 0 or in [{_SCV_MIN:g}, {_SCV_MAX:g}] to be fitted, "
-            f"got {scv!r}"
-        )
+    _check_fittable(scv, "scv")
 
     if scv == 0.0:
         return FittedDistribution(DistKind.DETERMINISTIC, mean, 0.0)

@@ -25,6 +25,7 @@ from typing import Optional
 
 from .errors import InvalidInput
 from .fitting import (
+    _check_fittable,
     density_at_zero,
     density_at_zero_two_moment_approx,
     fit_two_moments,
@@ -278,12 +279,13 @@ class DerivedMoments:
         return len(self.load_fractions)
 
 
-def _density_value(queue: QueueSpec) -> float:
+def _density_value(queue: QueueSpec, i: int) -> float:
     mode = queue.density_mode
     if mode is DensityMode.TWO_MOMENT_APPROX:
         return density_at_zero_two_moment_approx(queue.scv_interarrival)
     if mode is DensityMode.USER_VALUE:
         return queue.density_value
+    _check_fittable(queue.scv_interarrival, f"queues[{i}]: scv_interarrival")
     fitted = fit_two_moments(
         queue.mean_interarrival_at_saturation, queue.scv_interarrival
     )
@@ -357,7 +359,7 @@ def _derive_moments(spec: SystemSpec) -> DerivedMoments:
         for r, f, q in zip(rates, load_fractions, queues)
     )
 
-    density = tuple(_density_value(q) for q in queues)
+    density = tuple(_density_value(q, i) for i, q in enumerate(queues))
 
     return DerivedMoments(
         load_fractions=load_fractions,

@@ -9,21 +9,21 @@ it is written for throughput and determinism rather than generality:
 * One visit loop serves both disciplines.  It admits a customer that has
   arrived (``arrive <= t``) and arrived before the visit's gate
   (``arrive < gate``); the gate is the visit's start under gated service
-  and infinite under exhaustive service.
+  and infinite under exhaustive service.  An empty visit, the common case
+  at low load, costs one comparison and its switch-over.
 * Variates come from per-queue, per-purpose substreams spawned from a
   single seed, so results are reproducible and replications independent.
   Each substream is a C-level iterator: ``itertools.repeat`` for a
   deterministic law, otherwise chained chunks of ``sample_array``.
 * The event budget counts services and switch-overs.  It is checked once
-  per visit, after the switch-over, so a run raises within one visit of
-  exceeding it.
-* Statistics are collected per cycle after a warm-up period; warm-up
-  cycles record into an extra batch slot that is dropped before pooling.
-  Confidence intervals use batch means over contiguous blocks of cycles,
-  pooled over replications.
+  per cycle, so a run raises within one cycle of exceeding it.
+* Statistics are collected per cycle after a warm-up period.  The cycles
+  run as contiguous segments: the warm-up, which records into an extra
+  batch slot dropped before pooling, then one segment per batch.
+  Confidence intervals use these batch means, pooled over replications.
 * Queue lengths and the realized load come from the measured waits plus
-  each queue's busy time, added once per visit: a queue's summed sojourn
-  time is its summed waits plus its busy time.
+  each queue's busy time, added once per visit that serves: a queue's
+  summed sojourn time is its summed waits plus its busy time.
 
 Simulated time starts at the instant the server begins the first visit of
 queue 0 with all queues empty and fresh interarrival countdowns.
@@ -44,6 +44,7 @@ from .errors import InvalidInput, NumericalBudget
 from .fitting import (
     DistKind,
     FittedDistribution,
+    _check_fittable,
     fit_two_moments,
     sample_array,
 )
@@ -128,21 +129,20 @@ def _stream(dist: FittedDistribution, rng: np.random.Generator) -> Iterator[floa
 def _fit_laws(
     spec: SystemSpec,
 ) -> tuple[list[FittedDistribution], ...]:
+    def fit(i: int, kind: str, mean: float) -> FittedDistribution:
+        if mean == 0.0:  # only a switch-over time can be zero
+            return FittedDistribution(DistKind.DETERMINISTIC, 0.0, 0.0)
+        scv = getattr(spec.queues[i], f"scv_{kind}")
+        _check_fittable(scv, f"queues[{i}]: scv_{kind}")
+        return fit_two_moments(mean, scv)
+
+    queues = list(enumerate(spec.queues))
     interarrival = [
-        fit_two_moments(
-            q.mean_interarrival_at_saturation / spec.rho, q.scv_interarrival
-        )
-        for q in spec.queues
+        fit(i, "interarrival", q.mean_interarrival_at_saturation / spec.rho)
+        for i, q in queues
     ]
-    service = [
-        fit_two_moments(q.mean_service, q.scv_service) for q in spec.queues
-    ]
-    switchover = [
-        fit_two_moments(q.mean_switchover, q.scv_switchover)
-        if q.mean_switchover > 0.0
-        else FittedDistribution(DistKind.DETERMINISTIC, 0.0, 0.0)
-        for q in spec.queues
-    ]
+    service = [fit(i, "service", q.mean_service) for i, q in queues]
+    switchover = [fit(i, "switchover", q.mean_switchover) for i, q in queues]
     return interarrival, service, switchover
 
 
@@ -176,36 +176,43 @@ def _run_replication(
     events = 0
 
     t = 0.0
-    t_measure_begin = 0.0
     next_arrival = [draw_arrival[i]() for i in range(n)]
-    batch = batches  # the warm-up slot
+    # Measured cycle c records into batch c * batches // measured, so
+    # batch b starts at cycle ceil(b * measured / batches).  Warm-up
+    # cycles record into the extra slot `batches`.
+    starts = [-(-b * measured // batches) for b in range(batches + 1)]
+    segments = [(batches, warmup)] + [
+        (b, starts[b + 1] - starts[b]) for b in range(batches)
+    ]
 
-    for cycle in range(warmup + measured):
-        if cycle >= warmup:
-            if cycle == warmup:
-                t_measure_begin = t
-                busy = [0.0] * n
-            batch = (cycle - warmup) * batches // measured
-        for i in range(n):
-            arrive = next_arrival[i]
-            next_ia = draw_arrival[i]
-            next_sv = draw_service[i]
-            sums_row = wait_sums[i]
-            counts_row = wait_counts[i]
-            start = t
-            # Under gated service t >= gate, so `arrive <= t` adds nothing
-            # there; an arrival exactly at the gate waits a cycle.
-            gate = t if gated else math.inf
-            while arrive <= t and arrive < gate:
-                sums_row[batch] += t - arrive
-                counts_row[batch] += 1
-                t += next_sv()
-                events += 1
-                arrive += next_ia()
-            next_arrival[i] = arrive
-            busy[i] += t - start
-            t += draw_switch[i]()
-            events += 1
+    for slot, cycles in segments:
+        if slot == 0:
+            t_measure_begin = t
+            busy = [0.0] * n
+        for _ in range(cycles):
+            for i in range(n):
+                arrive = next_arrival[i]
+                # An empty visit is only its switch-over.  An arrival at
+                # the start of a gated visit, its gate, waits a cycle.
+                if arrive <= t and (arrive < t or not gated):
+                    next_ia = draw_arrival[i]
+                    next_sv = draw_service[i]
+                    gate = t if gated else math.inf
+                    start = t
+                    waited = wait_sums[i][slot]
+                    served = 0
+                    while arrive <= t and arrive < gate:
+                        waited += t - arrive
+                        served += 1
+                        t += next_sv()
+                        arrive += next_ia()
+                    wait_sums[i][slot] = waited
+                    wait_counts[i][slot] += served
+                    events += served
+                    next_arrival[i] = arrive
+                    busy[i] += t - start
+                t += draw_switch[i]()
+            events += n
             if events > budget:
                 raise NumericalBudget(
                     f"event budget of {budget} exhausted; raise "

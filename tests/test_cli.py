@@ -243,7 +243,8 @@ def test_unfittable_scv_is_invalid(capsys, tmp_path, command, field, value):
     flags = ["--cycles", "2000"] if command == "simulate" else []
     code, out, err = run(capsys, command, path, *flags)
     assert (code, out) == (2, "")
-    assert err.startswith("error: scv must be 0 or in") and err.count("\n") == 1
+    prefix = f"error: queues[1]: {field} must be 0 or in"
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert repr(value) in err
 
 

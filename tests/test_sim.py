@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -151,6 +152,22 @@ def test_budget_counts_trailing_switchovers():
         simulate(spec, tight)
 
 
+def test_budget_equal_to_the_total_passes():
+    # With the test above, this pins what the runtime check counts: the
+    # run's exact event total, switch-overs included.
+    spec = two_queue_spec(rho=0.9)
+    cfg = SimConfig(
+        warmup_cycles=100,
+        measured_cycles=1_000,
+        replications=1,
+        base_seed=1230,
+        batch_count=10,
+    )
+    total = simulate(spec, cfg).total_events
+    exact = dataclasses.replace(cfg, max_events=total)
+    assert simulate(spec, exact).total_events == total
+
+
 @pytest.mark.parametrize(
     "discipline, waits, half_widths",
     [
@@ -212,6 +229,60 @@ def test_matches_per_customer_reference(discipline, rho):
     assert estimate.realized_load_ci_half_width == pytest.approx(
         reference.realized_load_ci_half_width, rel=1e-9, abs=0.0
     )
+
+
+def deterministic_spec(discipline, rho):
+    # Binary-exact deterministic laws put arrivals exactly on visit
+    # starts, where a gated visit must leave them for the next cycle.
+    queue = QueueSpec(0.5, 0.0, 1.0, 0.0, 0.25, 0.0)
+    return SystemSpec(queues=(queue, queue), discipline=discipline, rho=rho)
+
+
+EDGE_CONFIGS = {
+    "no-warmup": SimConfig(
+        warmup_cycles=0, measured_cycles=2_000, replications=2, base_seed=5,
+        batch_count=10,
+    ),
+    "uneven-batches": SimConfig(
+        warmup_cycles=300, measured_cycles=2_003, replications=2, base_seed=6,
+        batch_count=10,
+    ),
+    "one-replication": SimConfig(
+        warmup_cycles=300, measured_cycles=2_000, replications=1, base_seed=7,
+        batch_count=10,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, rho, cfg",
+    [(all_kinds_spec, 0.5, cfg) for cfg in EDGE_CONFIGS.values()]
+    + [(deterministic_spec, rho, SHORT) for rho in (0.25, 0.5, 0.75)],
+    ids=[*EDGE_CONFIGS, "ties-0.25", "ties-0.5", "ties-0.75"],
+)
+@pytest.mark.parametrize("discipline", [EXH, GAT], ids=["exhaustive", "gated"])
+def test_loop_edges_match_reference(discipline, build, rho, cfg):
+    # Run lengths that split unevenly into batches or skip the warm-up,
+    # and arrivals that tie with a visit's start, give the same numbers
+    # as the per-customer reference.
+    spec = build(discipline, rho)
+    estimate = simulate(spec, cfg)
+    reference = reference_simulate(spec, cfg)
+    assert estimate.samples_per_queue == reference.samples_per_queue
+    assert estimate.total_events == reference.total_events
+    assert estimate.mean_wait == reference.mean_wait
+    assert estimate.ci_half_width == reference.ci_half_width
+
+
+def test_gated_ties_wait_a_cycle():
+    # At rho 0.5 the cycle lasts 1.0 and each of queue 0's customers
+    # arrives exactly as its visit starts: exhaustive service takes them at
+    # once, gated service a full cycle later.
+    exhaustive, gated = (
+        simulate(deterministic_spec(d, 0.5), SHORT).mean_wait[0]
+        for d in (EXH, GAT)
+    )
+    assert (exhaustive, gated) == (0.0, 1.0)
 
 
 def test_same_seed_reproduces_everything():
