@@ -45,7 +45,6 @@ from .testbed import (
     run_comparison,
     sampled_bed,
     standard_bed,
-    three_queue_demo_spec,
 )
 
 __version__ = "0.1.0"

@@ -13,8 +13,9 @@ Subcommands:
 System descriptions are JSON files with a ``version`` field (currently
 ``"v1"``), a ``discipline``, an optional ``rho``, and a list of queues in
 visit order.  Unknown fields and non-finite numbers are rejected.
-``--preset NAME`` is the file ``demo-spec --preset NAME`` prints (load
-0.7, exhaustive).  ``testbed --jobs`` must be at least 1.
+``--preset NAME`` is a v1 document kept in this module, the one
+``demo-spec --preset NAME`` prints (load 0.7, exhaustive), and is read by
+the code that reads a file.  ``testbed --jobs`` must be at least 1.
 
 Exit codes: 0 success, 2 ``InvalidInput``, 3 ``NumericalBudget``, 4
 ``OSError``, and 141 (128 + SIGPIPE), with nothing on stderr, when the
@@ -55,8 +56,6 @@ from .testbed import (
     sampled_bed,
     standard_bed,
     summary_lines,
-    three_queue_demo_spec,
-    two_queue_small_switchover_spec,
     write_report_files,
 )
 
@@ -88,7 +87,8 @@ def load_spec_file(
 
     `rho` and `discipline` override the file's values when given; the file
     may omit ``rho`` if the caller provides one.  Only the file's shape is
-    checked here: each value is checked by the field that holds it.
+    checked here: each value is checked by the field that holds it.  Every
+    error message starts with the path.
     """
     with open(path) as handle:
         try:
@@ -97,52 +97,53 @@ def load_spec_file(
         # past int's digit limit, and nesting past the recursion limit.
         except (ValueError, RecursionError) as exc:
             raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return _spec_from_document(data, rho, discipline)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
 
+
+def _spec_from_document(
+    data, rho: Optional[float], discipline: Optional[Discipline]
+) -> SystemSpec:
+    # load_spec_file's checks on a decoded v1 document; no path in messages.
     if not isinstance(data, dict):
-        raise InvalidInput(f"{path}: top level must be an object")
+        raise InvalidInput("top level must be an object")
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
-        raise InvalidInput(f"{path}: unknown fields {sorted(unknown)}")
+        raise InvalidInput(f"unknown fields {sorted(unknown)}")
     if data.get("version") != SCHEMA_VERSION:
         raise InvalidInput(
-            f"{path}: version must be {SCHEMA_VERSION!r}, got "
-            f"{data.get('version')!r}"
+            f"version must be {SCHEMA_VERSION!r}, got {data.get('version')!r}"
         )
     if discipline is None:
         discipline = data.get("discipline")
     if rho is None:
         if "rho" not in data:
             raise InvalidInput(
-                f"{path}: no rho in file and none given on the command line"
+                "no rho in file and none given on the command line"
             )
         rho = data["rho"]
 
     raw_queues = data.get("queues")
     if not isinstance(raw_queues, list) or not raw_queues:
-        raise InvalidInput(f"{path}: queues must be a non-empty list")
+        raise InvalidInput("queues must be a non-empty list")
     queues = []
     for pos, entry in enumerate(raw_queues):
         label = f"queues[{pos}]"
         if not isinstance(entry, dict):
-            raise InvalidInput(f"{path}: {label} must be an object")
+            raise InvalidInput(f"{label} must be an object")
         unknown = set(entry) - _QUEUE_KEYS
         if unknown:
-            raise InvalidInput(
-                f"{path}: {label} has unknown fields {sorted(unknown)}"
-            )
+            raise InvalidInput(f"{label} has unknown fields {sorted(unknown)}")
         missing = [key for key in _QUEUE_REQUIRED if key not in entry]
         if missing:
-            raise InvalidInput(
-                f"{path}: {label} is missing fields {sorted(missing)}"
-            )
+            raise InvalidInput(f"{label} is missing fields {sorted(missing)}")
         try:
             queues.append(QueueSpec(**entry))
         except InvalidInput as exc:
-            raise InvalidInput(f"{path}: {label}: {exc}") from exc
-    try:
-        return SystemSpec(queues=queues, discipline=discipline, rho=rho)
-    except InvalidInput as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
+            raise InvalidInput(f"{label}: {exc}") from exc
+    return SystemSpec(queues=queues, discipline=discipline, rho=rho)
 
 
 def spec_to_dict(spec: SystemSpec) -> dict:
@@ -215,21 +216,56 @@ def _parse_methods(text: str) -> list[Method]:
     return [Method(token) for token in tokens]
 
 
+# Each preset is the v1 document that demo-spec prints for it.  Its floats
+# are the expressions that first made them, so they keep their exact bits.
 _PRESETS = {
-    "three-queue": three_queue_demo_spec,
-    "small-switchover": two_queue_small_switchover_spec,
+    # Bursty arrivals: three queues carrying 10%, 30% and 60% of the load,
+    # exponential unit service and switch-over times, interarrival scv 3.
+    "three-queue": {
+        "version": SCHEMA_VERSION,
+        "discipline": "exhaustive",
+        "rho": 0.7,
+        "queues": [
+            {
+                "mean_service": 1.0,
+                "scv_service": 1.0,
+                "mean_interarrival_at_saturation": 1.0 / share,
+                "scv_interarrival": 3.0,
+                "mean_switchover": 1.0,
+                "scv_switchover": 1.0,
+                "density_mode": "exact",
+            }
+            for share in (0.1, 0.3, 0.6)
+        ],
+    },
+    # Switch-over times five times smaller than services, exponential laws
+    # and a 5:1 load imbalance: a known weak spot of the interpolation.
+    "small-switchover": {
+        "version": SCHEMA_VERSION,
+        "discipline": "exhaustive",
+        "rho": 0.7,
+        "queues": [
+            {
+                "mean_service": 9.0 / 40.0,
+                "scv_service": 1.0,
+                "mean_interarrival_at_saturation": 1.0 / (share / (9.0 / 40.0)),
+                "scv_interarrival": 1.0,
+                "mean_switchover": 9.0 / 200.0,
+                "scv_switchover": 1.0,
+                "density_mode": "exact",
+            }
+            for share in (5.0 / 6.0, 1.0 / 6.0)
+        ],
+    },
 }
 
 
 def _resolve_spec(args, rho: Optional[float]) -> SystemSpec:
-    # A preset is the file demo-spec prints; flags override either alike.
+    # A preset is read as the file demo-spec prints; flags override either.
     if (args.spec is None) == (args.preset is None):
         raise InvalidInput("give either a spec file or --preset, not both")
     if args.preset is not None:
-        return _PRESETS[args.preset](
-            0.7 if rho is None else rho,
-            args.discipline or Discipline.EXHAUSTIVE,
-        )
+        return _spec_from_document(_PRESETS[args.preset], rho, args.discipline)
     return load_spec_file(args.spec, rho=rho, discipline=args.discipline)
 
 

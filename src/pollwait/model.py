@@ -121,7 +121,8 @@ class QueueSpec:
         Switch-over time incurred when the server leaves this queue.  A
         zero mean denotes no switch-over at this position.
     density_mode : DensityMode
-        Source of the normalized interarrival density at zero.
+        Source of the normalized interarrival density at zero.  ``EXACT``
+        needs a ``scv_interarrival`` that `fit_two_moments` fits.
     density_value : float, optional
         The value itself; required (and only allowed) with
         ``DensityMode.USER_VALUE``.
@@ -180,6 +181,8 @@ class QueueSpec:
             raise InvalidInput(
                 "density_value is only allowed with DensityMode.USER_VALUE"
             )
+        elif mode is DensityMode.EXACT:
+            _check_fittable(self.scv_interarrival, "scv_interarrival")
 
     @property
     def load_fraction(self) -> float:
@@ -279,13 +282,12 @@ class DerivedMoments:
         return len(self.load_fractions)
 
 
-def _density_value(queue: QueueSpec, i: int) -> float:
+def _density_value(queue: QueueSpec) -> float:
     mode = queue.density_mode
     if mode is DensityMode.TWO_MOMENT_APPROX:
         return density_at_zero_two_moment_approx(queue.scv_interarrival)
     if mode is DensityMode.USER_VALUE:
         return queue.density_value
-    _check_fittable(queue.scv_interarrival, f"queues[{i}]: scv_interarrival")
     fitted = fit_two_moments(
         queue.mean_interarrival_at_saturation, queue.scv_interarrival
     )
@@ -359,7 +361,7 @@ def _derive_moments(spec: SystemSpec) -> DerivedMoments:
         for r, f, q in zip(rates, load_fractions, queues)
     )
 
-    density = tuple(_density_value(q, i) for i, q in enumerate(queues))
+    density = tuple(_density_value(q) for q in queues)
 
     return DerivedMoments(
         load_fractions=load_fractions,

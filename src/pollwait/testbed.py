@@ -33,6 +33,7 @@ import numpy as np
 
 from .approx import Method, mean_wait
 from .errors import InvalidInput
+from .fitting import _check_fittable
 from .model import (
     DensityMode,
     Discipline,
@@ -58,8 +59,6 @@ __all__ = [
     "write_report_files",
     "report_to_csv",
     "report_from_csv",
-    "three_queue_demo_spec",
-    "two_queue_small_switchover_spec",
 ]
 
 # Tolerance for the two-queue load constraint that makes an imbalanced
@@ -102,8 +101,7 @@ class TestBedCase:
         if not 0.0 < self.rho < 1.0:
             raise InvalidInput(f"rho must be in (0, 1), got {self.rho!r}")
         for label in ("scv_interarrival", "scv_service", "scv_switchover"):
-            if getattr(self, label) < 0.0:
-                raise InvalidInput(f"{label} must be >= 0")
+            _check_fittable(getattr(self, label), label)
         if self.imbalance_interarrival < 1.0 or self.imbalance_service < 1.0:
             raise InvalidInput("imbalance ratios must be >= 1")
         if self.switchover_service_ratio <= 0.0:
@@ -646,55 +644,3 @@ def write_report_files(report: ErrorReport, outdir: str) -> list[str]:
             emit(f"{stem}_{slug}.txt", _text(table))
             emit(f"{stem}_{slug}.csv", _csv(table))
     return written
-
-
-def three_queue_demo_spec(
-    rho: float, discipline: Discipline = Discipline.EXHAUSTIVE
-) -> SystemSpec:
-    """Small showcase system with bursty arrivals.
-
-    Three queues carrying 10%, 30% and 60% of the load; exponential unit
-    service and switch-over times; interarrival scv 3, evaluated exactly
-    for the fitted hyperexponential law.
-    """
-    fractions = (0.1, 0.3, 0.6)
-    queues = tuple(
-        QueueSpec(
-            mean_service=1.0,
-            scv_service=1.0,
-            mean_interarrival_at_saturation=1.0 / f,
-            scv_interarrival=3.0,
-            mean_switchover=1.0,
-            scv_switchover=1.0,
-            density_mode=DensityMode.EXACT,
-        )
-        for f in fractions
-    )
-    return SystemSpec(queues=queues, discipline=discipline, rho=rho)
-
-
-def two_queue_small_switchover_spec(
-    rho: float, discipline: Discipline = Discipline.EXHAUSTIVE
-) -> SystemSpec:
-    """Stress preset: switch-over times five times smaller than services.
-
-    Two queues with exponential laws everywhere, mean service 9/40, mean
-    switch-over 9/200, and a 5:1 arrival-rate imbalance.  A known weak
-    spot of the interpolation, kept as a ready-made sweep target.
-    """
-    mean_service = 9.0 / 40.0
-    rate_heavy = (5.0 / 6.0) / mean_service  # load fractions 5/6 and 1/6
-    rate_light = (1.0 / 6.0) / mean_service
-    queues = tuple(
-        QueueSpec(
-            mean_service=mean_service,
-            scv_service=1.0,
-            mean_interarrival_at_saturation=1.0 / rate,
-            scv_interarrival=1.0,
-            mean_switchover=9.0 / 200.0,
-            scv_switchover=1.0,
-            density_mode=DensityMode.EXACT,
-        )
-        for rate in (rate_heavy, rate_light)
-    )
-    return SystemSpec(queues=queues, discipline=discipline, rho=rho)

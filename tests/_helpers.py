@@ -1,12 +1,15 @@
-"""Checks that only tests need: realized moments of a fitted law and the
-mean error of a filtered set of test-bed records."""
+"""Checks that only tests need: realized moments of a fitted law, the
+mean error of a filtered set of test-bed records, and the systems of the
+command line's presets."""
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+from pollwait import cli
 from pollwait.approx import Method
 from pollwait.fitting import DistKind, FittedDistribution
+from pollwait.model import Discipline, SystemSpec
 from pollwait.testbed import ErrorRecord, ErrorReport, _mean
 
 
@@ -42,3 +45,11 @@ def mean_abs_error(
         if r.method is method and (predicate is None or predicate(r))
     ]
     return _mean(errors)
+
+
+def preset_spec(
+    name: str, rho: float, discipline: Optional[Discipline] = None
+) -> SystemSpec:
+    """The system of ``--preset name`` at load `rho`, read as the command
+    line reads it; `discipline` overrides the preset's exhaustive service."""
+    return cli._spec_from_document(cli._PRESETS[name], rho, discipline)

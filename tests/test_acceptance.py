@@ -31,12 +31,11 @@ from pollwait import (
     sampled_bed,
     scale_to_load,
     standard_bed,
-    three_queue_demo_spec,
 )
 from pollwait.sim import SimConfig, simulate
 from pollwait.testbed import is_exact_case, run_comparison
 
-from _helpers import mean_abs_error, realized_moments
+from _helpers import mean_abs_error, preset_spec, realized_moments
 
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
@@ -266,7 +265,7 @@ def test_criterion_5_three_queue_showcase():
     with criterion("criterion 5 (three-queue showcase)"):
         errors = {}
         for rho in (0.1, 0.3, 0.5, 0.7, 0.9):
-            spec = three_queue_demo_spec(rho)
+            spec = preset_spec("three-queue", rho)
             approx = mean_wait(spec, Method.INTERPOLATION).mean_wait
             est = simulate(spec, SimConfig())
             for i in range(3):

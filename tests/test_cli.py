@@ -19,7 +19,6 @@ from pollwait import (
     mean_wait,
     run_comparison,
     scale_to_load,
-    three_queue_demo_spec,
 )
 from pollwait.cli import (
     _build_parser,
@@ -29,6 +28,8 @@ from pollwait.cli import (
     main,
     spec_to_dict,
 )
+
+from _helpers import preset_spec
 
 
 def run(capsys, *argv):
@@ -44,7 +45,7 @@ def write_spec(tmp_path, data, name="system.json"):
 
 
 def demo_dict(rho=0.5):
-    return spec_to_dict(three_queue_demo_spec(rho))
+    return spec_to_dict(preset_spec("three-queue", rho))
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -62,7 +63,7 @@ def test_demo_spec_round_trip(capsys, tmp_path):
     path = tmp_path / "demo.json"
     path.write_text(out)
     spec = load_spec_file(str(path))
-    assert spec == three_queue_demo_spec(0.7, Discipline.EXHAUSTIVE)
+    assert spec == preset_spec("three-queue", 0.7, Discipline.EXHAUSTIVE)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +102,9 @@ def test_analyze_json_output(capsys):
     assert payload["rho"] == 0.7
     assert "pcl_rhs" in payload and "pcl_residual" in payload
     assert len(payload["queues"]) == 3
-    expected = mean_wait(three_queue_demo_spec(0.7), Method.INTERPOLATION)
+    expected = mean_wait(
+        preset_spec("three-queue", 0.7), Method.INTERPOLATION
+    )
     for i, entry in enumerate(payload["queues"]):
         assert entry["queue"] == i
         assert math.isclose(entry["mean_wait"], expected.mean_wait[i])
@@ -216,9 +219,9 @@ def test_spec_file_rejections(capsys, tmp_path, mutate):
     data = demo_dict()
     mutate(data)
     path = write_spec(tmp_path, data)
-    code, _, err = run(capsys, "analyze", path)
-    assert code == 2
-    assert "error:" in err
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_spec_file_top_level_must_be_an_object(capsys, tmp_path):
@@ -243,7 +246,10 @@ def test_unfittable_scv_is_invalid(capsys, tmp_path, command, field, value):
     flags = ["--cycles", "2000"] if command == "simulate" else []
     code, out, err = run(capsys, command, path, *flags)
     assert (code, out) == (2, "")
-    prefix = f"error: queues[1]: {field} must be 0 or in"
+    # A spec file's own check names the file; the simulator fits its laws
+    # after loading and names only the queue.
+    where = "" if command == "simulate" else f"{path}: "
+    prefix = f"error: {where}queues[1]: {field} must be 0 or in"
     assert err.startswith(prefix) and err.count("\n") == 1
     assert repr(value) in err
 
@@ -534,6 +540,84 @@ def test_preset_is_the_demo_spec_file(capsys, tmp_path, preset, overrides):
         # sweep takes no --rho: a usage error either way.
         usage_error = command == "sweep" and "--rho" in overrides
         assert from_file[0] == (2 if usage_error else 0)
+
+
+# demo-spec output of each preset as first captured; moving any float of a
+# preset document by one bit changes this text.
+_PRESET_TEXT = {
+    "three-queue": """\
+{
+  "version": "v1",
+  "discipline": "exhaustive",
+  "rho": 0.7,
+  "queues": [
+    {
+      "mean_service": 1.0,
+      "scv_service": 1.0,
+      "mean_interarrival_at_saturation": 10.0,
+      "scv_interarrival": 3.0,
+      "mean_switchover": 1.0,
+      "scv_switchover": 1.0,
+      "density_mode": "exact"
+    },
+    {
+      "mean_service": 1.0,
+      "scv_service": 1.0,
+      "mean_interarrival_at_saturation": 3.3333333333333335,
+      "scv_interarrival": 3.0,
+      "mean_switchover": 1.0,
+      "scv_switchover": 1.0,
+      "density_mode": "exact"
+    },
+    {
+      "mean_service": 1.0,
+      "scv_service": 1.0,
+      "mean_interarrival_at_saturation": 1.6666666666666667,
+      "scv_interarrival": 3.0,
+      "mean_switchover": 1.0,
+      "scv_switchover": 1.0,
+      "density_mode": "exact"
+    }
+  ]
+}
+""",
+    "small-switchover": """\
+{
+  "version": "v1",
+  "discipline": "exhaustive",
+  "rho": 0.7,
+  "queues": [
+    {
+      "mean_service": 0.225,
+      "scv_service": 1.0,
+      "mean_interarrival_at_saturation": 0.27,
+      "scv_interarrival": 1.0,
+      "mean_switchover": 0.045,
+      "scv_switchover": 1.0,
+      "density_mode": "exact"
+    },
+    {
+      "mean_service": 0.225,
+      "scv_service": 1.0,
+      "mean_interarrival_at_saturation": 1.35,
+      "scv_interarrival": 1.0,
+      "mean_switchover": 0.045,
+      "scv_switchover": 1.0,
+      "density_mode": "exact"
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESET_TEXT))
+def test_preset_bytes_are_pinned(capsys, preset):
+    assert run(capsys, "demo-spec", "--preset", preset) == (
+        0,
+        _PRESET_TEXT[preset],
+        "",
+    )
 
 
 def test_no_sim_is_not_an_option(capsys):

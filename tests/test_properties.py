@@ -37,7 +37,6 @@ from pollwait import (
     mean_wait,
     pcl_residual,
     pcl_rhs,
-    three_queue_demo_spec,
 )
 from pollwait.approx import _system_of
 from pollwait.cli import (
@@ -48,6 +47,8 @@ from pollwait.cli import (
     main,
     spec_to_dict,
 )
+
+from _helpers import preset_spec
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -236,7 +237,7 @@ _BAD_VALUES = (
 @st.composite
 def broken_spec_dicts(draw):
     """The demo spec with one wrong value, missing field or unknown field."""
-    data = spec_to_dict(three_queue_demo_spec(0.5))
+    data = spec_to_dict(preset_spec("three-queue", 0.5))
     queue = data["queues"][draw(st.integers(0, len(data["queues"]) - 1))]
     target, keys, required = draw(
         st.sampled_from(
@@ -286,7 +287,7 @@ def test_broken_spec_file_is_one_error_line(data):
 def test_constructor_rejects_what_a_spec_file_rejects(owner, field, value):
     # null is how a file says "no density value", so it is valid.
     assume(not (field == "density_value" and value is None))
-    spec = three_queue_demo_spec(0.5)
+    spec = preset_spec("three-queue", 0.5)
     data = spec_to_dict(spec)
     if owner == "system":
         kind, source, target = SystemSpec, spec, data

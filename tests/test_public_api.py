@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "scale_to_load",
     "simulate",
     "standard_bed",
-    "three_queue_demo_spec",
 ]
 
 
@@ -78,9 +77,7 @@ def test_report_tables_replace_the_table_helpers():
         "run_comparison",
         "sampled_bed",
         "standard_bed",
-        "three_queue_demo_spec",
-        "two_queue_small_switchover_spec",
-        "write_report_files",
+            "write_report_files",
     ]
 
 

@@ -17,7 +17,6 @@ from pollwait import (
     poisson_bed,
     sampled_bed,
     standard_bed,
-    three_queue_demo_spec,
 )
 from pollwait.sim import SimConfig
 from pollwait.testbed import (
@@ -29,11 +28,10 @@ from pollwait.testbed import (
     report_to_csv,
     run_comparison,
     summary_lines,
-    two_queue_small_switchover_spec,
     write_report_files,
 )
 
-from _helpers import mean_abs_error
+from _helpers import mean_abs_error, preset_spec
 
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
@@ -86,8 +84,11 @@ def test_case_validation():
         TestBedCase(0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidInput, match="rho must be in"):
         TestBedCase(2, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidInput, match="scv_interarrival must be >= 0"):
+    fitted = r"must be 0 or in \[1e-15, 1e\+06\] to be fitted, got"
+    with pytest.raises(InvalidInput, match=f"scv_interarrival {fitted} -1.0"):
         TestBedCase(2, 0.5, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(InvalidInput, match=f"scv_service {fitted} 1e-30"):
+        TestBedCase(2, 0.5, 1.0, 1e-30, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidInput, match="imbalance ratios must be >= 1"):
         TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0)
     with pytest.raises(InvalidInput, match="switchover_service_ratio must be positive"):
@@ -346,11 +347,16 @@ def test_csv_round_trip(tmp_path):
             "line 3: scv_service must be finite, got nan",
         ),
         (
+            lambda rows: [*rows[:2], [*rows[2][:4], "1e-30", *rows[2][5:]], *rows[3:]],
+            r"line 3: scv_service must be 0 or in \[1e-15, 1e\+06\] to be "
+            "fitted, got 1e-30",
+        ),
+        (
             lambda rows: [*rows, [*rows[-1][:9], "gated", *rows[-1][10:]]],
             "line 8: discipline gated after exhaustive records",
         ),
     ],
-    ids=["header", "cell", "short-row", "nan", "mixed-disciplines"],
+    ids=["header", "cell", "short-row", "nan", "unfittable-scv", "mixed-disciplines"],
 )
 def test_report_from_csv_rejects_malformed_file(tmp_path, mutate, message):
     path = tmp_path / "records.csv"
@@ -425,7 +431,7 @@ def test_report_rows_and_columns_in_numeric_order(tmp_path):
 
 
 def test_three_queue_demo_spec():
-    spec = three_queue_demo_spec(0.7)
+    spec = preset_spec("three-queue", 0.7)
     assert spec.rho == 0.7
     assert spec.discipline is EXH
     np.testing.assert_allclose(
@@ -438,7 +444,7 @@ def test_three_queue_demo_spec():
 
 
 def test_two_queue_small_switchover_spec():
-    spec = two_queue_small_switchover_spec(0.5, GAT)
+    spec = preset_spec("small-switchover", 0.5, GAT)
     assert spec.discipline is GAT
     np.testing.assert_allclose(
         [q.load_fraction for q in spec.queues], (5 / 6, 1 / 6), rtol=1e-12
