@@ -341,6 +341,17 @@ def _cmd_sweep(args) -> int:
     grid = _parse_rho_grid(args.rho_grid)
     methods = _parse_methods(args.methods)
     base = _resolve_spec(args, rho=grid[0])
+    # One run configuration serves every load, checked before any work.
+    cfg = None
+    if args.with_sim:
+        cfg = SimConfig(
+            warmup_cycles=max(200, args.sim_cycles // 10),
+            measured_cycles=args.sim_cycles,
+            replications=args.sim_reps,
+            base_seed=args.seed,
+            batch_count=10,
+            max_events=args.max_events,
+        )
     lines = ["rho,queue,method,mean_wait,ci_half_width"]
     for rho in grid:
         spec = scale_to_load(base, rho)
@@ -351,15 +362,7 @@ def _cmd_sweep(args) -> int:
                     f"{_format_float(rho)},{i},{method.value},"
                     f"{_format_float(result.mean_wait[i])},"
                 )
-        if args.with_sim and rho > 0.0:
-            cfg = SimConfig(
-                warmup_cycles=max(200, args.sim_cycles // 10),
-                measured_cycles=args.sim_cycles,
-                replications=args.sim_reps,
-                base_seed=args.seed,
-                batch_count=10,
-                max_events=args.max_events,
-            )
+        if cfg is not None and rho > 0.0:
             est = simulate(spec, cfg)
             for i in range(spec.n):
                 lines.append(

@@ -109,11 +109,14 @@ def _choice(kind: type[Enum], value, label: str) -> Enum:
 class QueueSpec:
     """Two-moment description of one queue of the cycle.
 
+    Every scv is 0 or in [1e-15, 1e6], the range `fit_two_moments` fits,
+    so the simulator can fit a law to each of the three.
+
     Parameters
     ----------
     mean_service, scv_service : float
-        Mean (> 0) and squared coefficient of variation (>= 0) of the
-        service time.
+        Mean (> 0) and squared coefficient of variation of the service
+        time.
     mean_interarrival_at_saturation, scv_interarrival : float
         Interarrival mean (> 0) when the system is fully loaded, and its
         scv.  The scv is load independent.
@@ -121,8 +124,7 @@ class QueueSpec:
         Switch-over time incurred when the server leaves this queue.  A
         zero mean denotes no switch-over at this position.
     density_mode : DensityMode
-        Source of the normalized interarrival density at zero.  ``EXACT``
-        needs a ``scv_interarrival`` that `fit_two_moments` fits.
+        Source of the normalized interarrival density at zero.
     density_value : float, optional
         The value itself; required (and only allowed) with
         ``DensityMode.USER_VALUE``.
@@ -164,11 +166,7 @@ class QueueSpec:
         if not (math.isfinite(mean_s) and mean_s >= 0.0):
             raise InvalidInput(f"mean_switchover must be >= 0, got {mean_s!r}")
         for label in ("scv_service", "scv_interarrival", "scv_switchover"):
-            value = getattr(self, label)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidInput(
-                    f"{label} must be >= 0 and finite, got {value!r}"
-                )
+            _check_fittable(getattr(self, label), label)
 
         value = self.density_value
         if mode is DensityMode.USER_VALUE:
@@ -181,8 +179,6 @@ class QueueSpec:
             raise InvalidInput(
                 "density_value is only allowed with DensityMode.USER_VALUE"
             )
-        elif mode is DensityMode.EXACT:
-            _check_fittable(self.scv_interarrival, "scv_interarrival")
 
     @property
     def load_fraction(self) -> float:

@@ -44,7 +44,6 @@ from .errors import InvalidInput, NumericalBudget
 from .fitting import (
     DistKind,
     FittedDistribution,
-    _check_fittable,
     fit_two_moments,
     sample_array,
 )
@@ -129,20 +128,18 @@ def _stream(dist: FittedDistribution, rng: np.random.Generator) -> Iterator[floa
 def _fit_laws(
     spec: SystemSpec,
 ) -> tuple[list[FittedDistribution], ...]:
-    def fit(i: int, kind: str, mean: float) -> FittedDistribution:
+    def fit(mean: float, scv: float) -> FittedDistribution:
         if mean == 0.0:  # only a switch-over time can be zero
             return FittedDistribution(DistKind.DETERMINISTIC, 0.0, 0.0)
-        scv = getattr(spec.queues[i], f"scv_{kind}")
-        _check_fittable(scv, f"queues[{i}]: scv_{kind}")
         return fit_two_moments(mean, scv)
 
-    queues = list(enumerate(spec.queues))
+    queues = spec.queues
     interarrival = [
-        fit(i, "interarrival", q.mean_interarrival_at_saturation / spec.rho)
-        for i, q in queues
+        fit(q.mean_interarrival_at_saturation / spec.rho, q.scv_interarrival)
+        for q in queues
     ]
-    service = [fit(i, "service", q.mean_service) for i, q in queues]
-    switchover = [fit(i, "switchover", q.mean_switchover) for i, q in queues]
+    service = [fit(q.mean_service, q.scv_service) for q in queues]
+    switchover = [fit(q.mean_switchover, q.scv_switchover) for q in queues]
     return interarrival, service, switchover
 
 

@@ -19,6 +19,7 @@ import bisect
 import csv
 import dataclasses
 import functools
+import io
 import itertools
 import math
 import operator
@@ -510,11 +511,13 @@ def _text(table: _Table) -> str:
 
 
 def _csv(table: _Table) -> str:
+    # The csv module quotes labels that hold a comma, such as "(1.0, 5.0)".
     labels, rows, _ = table
-    lines = ["queues," + ",".join(labels)]
-    for n, row in rows.items():
-        lines.append(f"{n}," + ",".join(repr(v) for v in row))
-    return "\n".join(lines)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["queues", *labels])
+    writer.writerows([n, *map(repr, row)] for n, row in rows.items())
+    return out.getvalue()
 
 
 def _cell_codec(kind: type) -> tuple[Callable, Callable]:

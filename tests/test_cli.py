@@ -236,20 +236,24 @@ def test_spec_file_top_level_must_be_an_object(capsys, tmp_path):
         ("simulate", "scv_service", 1e-30),
         ("simulate", "scv_switchover", 1e17),
         ("analyze", "scv_interarrival", 1e-300),
+        ("analyze", "scv_service", 2e6),
+        ("sweep", "scv_switchover", 1e-30),
     ],
 )
 def test_unfittable_scv_is_invalid(capsys, tmp_path, command, field, value):
-    # The simulator, and the exact density, need a law fitted to the scv.
+    # The simulator needs a law fitted to every scv, so a queue holding
+    # one it cannot fit is rejected as the file is read.
     data = demo_dict()
     data["queues"][1][field] = value
     path = write_spec(tmp_path, data)
-    flags = ["--cycles", "2000"] if command == "simulate" else []
+    flags = {
+        "simulate": ["--cycles", "2000"],
+        "analyze": [],
+        "sweep": ["--rho-grid", "0.5:0.5:1"],
+    }[command]
     code, out, err = run(capsys, command, path, *flags)
     assert (code, out) == (2, "")
-    # A spec file's own check names the file; the simulator fits its laws
-    # after loading and names only the queue.
-    where = "" if command == "simulate" else f"{path}: "
-    prefix = f"error: {where}queues[1]: {field} must be 0 or in"
+    prefix = f"error: {path}: queues[1]: {field} must be 0 or in"
     assert err.startswith(prefix) and err.count("\n") == 1
     assert repr(value) in err
 
@@ -457,6 +461,37 @@ def test_bad_option_value_names_the_option(
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert named in err and value in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--sim-cycles", "500"),
+        ("--sim-reps", "0"),
+        ("--seed", "-1"),
+        ("--max-events", "0"),
+    ],
+)
+def test_sweep_bad_sim_flags_fail_before_any_work(
+    capsys, monkeypatch, option, value
+):
+    # Nothing is simulated at rho = 0, but the run configuration is still
+    # checked, before any estimate is computed.
+    calls = []
+    monkeypatch.setattr("pollwait.cli.mean_wait", lambda *a: calls.append(a))
+    code, out, err = run(
+        capsys,
+        "sweep",
+        "--preset",
+        "three-queue",
+        "--rho-grid",
+        "0:0:1",
+        "--with-sim",
+        option,
+        value,
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_sweep_unknown_method(capsys):

@@ -10,6 +10,8 @@ output as the original.
 Spec files round-trip every valid system, and a demo spec file with one
 defect is rejected with exit code 2 and a one-line error.  A value that
 a spec file rejects is rejected by the constructor of its field too.
+A queue takes an scv exactly when a law can be fitted to it, so every
+valid system can be simulated.
 
 Examples are drawn deterministically (``derandomize=True``), so the suite
 runs the same cases every time.
@@ -33,10 +35,13 @@ from pollwait import (
     InvalidInput,
     Method,
     QueueSpec,
+    SimConfig,
     SystemSpec,
+    fit_two_moments,
     mean_wait,
     pcl_residual,
     pcl_rhs,
+    simulate,
 )
 from pollwait.approx import _system_of
 from pollwait.cli import (
@@ -57,6 +62,10 @@ PROPERTY_SETTINGS = settings(
     max_examples=150,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+# Service and switch-over scvs: 0 or inside the range a law is fitted to.
+_SCVS = st.just(0.0) | st.floats(1e-15, 4.0)
 
 
 @st.composite
@@ -81,11 +90,11 @@ def systems(draw, poisson=False):
         queues.append(
             QueueSpec(
                 mean_service=mean_service,
-                scv_service=draw(st.floats(0.0, 4.0)),
+                scv_service=draw(_SCVS),
                 mean_interarrival_at_saturation=mean_service * total / w,
                 scv_interarrival=scv_a,
                 mean_switchover=draw(st.just(0.0) | st.floats(0.1, 5.0)),
-                scv_switchover=draw(st.floats(0.0, 4.0)),
+                scv_switchover=draw(_SCVS),
                 density_mode=mode,
                 density_value=value,
             )
@@ -305,3 +314,57 @@ def test_constructor_rejects_what_a_spec_file_rejects(owner, field, value):
         path = _write_json(directory, data)
         with pytest.raises(InvalidInput):
             load_spec_file(path)
+
+
+def _fits(scv):
+    try:
+        fit_two_moments(1.0, scv)
+    except InvalidInput:
+        return False
+    return True
+
+
+# Any float, with the ends of the fitted range and their neighbours.
+_ANY_SCV = (
+    st.sampled_from(
+        [0.0, -0.0, 1e-15, 1e6, 1e-30, 2e6, 5e-324, math.inf, math.nan]
+        + [math.nextafter(1e-15, 0.0), math.nextafter(1e6, math.inf)]
+    )
+    | st.floats(1e-20, 1e-10)
+    | st.floats(1e5, 1e7)
+    | st.floats()
+)
+
+
+@pytest.mark.parametrize("mode", list(DensityMode))
+@pytest.mark.parametrize(
+    "field", ["scv_service", "scv_interarrival", "scv_switchover"]
+)
+@PROPERTY_SETTINGS
+@given(value=_ANY_SCV)
+def test_queue_takes_an_scv_exactly_when_a_law_fits_it(field, mode, value):
+    kwargs = dict(
+        mean_service=1.0,
+        scv_service=1.0,
+        mean_interarrival_at_saturation=2.0,
+        scv_interarrival=1.0,
+        mean_switchover=1.0,
+        scv_switchover=1.0,
+        density_mode=mode,
+        density_value=0.5 if mode is DensityMode.USER_VALUE else None,
+    )
+    kwargs[field] = value
+    if _fits(value):
+        assert getattr(QueueSpec(**kwargs), field) == value
+    else:
+        with pytest.raises(InvalidInput, match=f"^{field} must be 0 or in"):
+            QueueSpec(**kwargs)
+
+
+@PROPERTY_SETTINGS
+@given(systems())
+def test_every_valid_system_can_be_simulated(spec):
+    cfg = SimConfig(
+        warmup_cycles=0, measured_cycles=200, replications=1, batch_count=2
+    )
+    assert simulate(spec, cfg).replications == 1

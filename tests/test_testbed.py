@@ -20,6 +20,7 @@ from pollwait import (
 )
 from pollwait.sim import SimConfig
 from pollwait.testbed import (
+    FACETS,
     ErrorRecord,
     ErrorReport,
     high_variation_poisson_bed,
@@ -428,6 +429,29 @@ def test_report_rows_and_columns_in_numeric_order(tmp_path):
     assert header == "queues,2.0,10.0"
     values = [[float(v) for v in row.split(",")[1:]] for row in rows]
     np.testing.assert_allclose(values, [[4.0, 20.0], [20.0, 100.0]], rtol=1e-12)
+
+
+def test_table_csvs_parse_into_rows_of_equal_width(tmp_path):
+    # An imbalance label such as "(5.0, 1.0)" holds a comma, so it is
+    # quoted.
+    cases_and_errors = [
+        (TestBedCase(2, 0.5, 1.0, 1.0, 1.0, imbalance, 1.0, 1.0), 0.05)
+        for imbalance in (1.0, 5.0)
+    ]
+    written = write_report_files(synthetic_report(cases_and_errors), str(tmp_path))
+    tables = [
+        path
+        for path in written
+        if path.endswith(".csv") and not path.endswith("raw_records.csv")
+    ]
+    assert len(tables) == 1 + len(FACETS)
+    for path in tables:
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert len({len(row) for row in rows}) == 1, path
+    imbalance = tmp_path / "mean_error_by_imbalance_interpolation.csv"
+    with open(imbalance, newline="") as handle:
+        assert next(csv.reader(handle)) == ["queues", "(1.0, 1.0)", "(5.0, 1.0)"]
 
 
 def test_three_queue_demo_spec():
