@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InvalidInput
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DistKind",
@@ -192,6 +193,8 @@ def sample_array(
     dist: FittedDistribution, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Draw `size` variates from `dist` as a float64 array."""
+    import numpy as np
+
     if dist.kind is DistKind.DETERMINISTIC:
         return np.full(size, dist.mean)
     if dist.kind is DistKind.EXPONENTIAL:

@@ -196,7 +196,9 @@ class SystemSpec:
 
     ``queues`` are listed in server visit order; indices elsewhere in the
     package are 0-based positions in this tuple.  ``rho`` is the total
-    offered load, 0 <= rho < 1.
+    offered load, 0 <= rho < 1.  At ``rho > 0`` every interarrival mean
+    ``mean_interarrival_at_saturation / rho`` must be a finite float, so the
+    simulator can fit a law to it.
     """
 
     queues: tuple[QueueSpec, ...]
@@ -225,6 +227,14 @@ class SystemSpec:
             raise InvalidInput(
                 "at least one switch-over time must have a positive mean"
             )
+        # The simulator draws interarrival times of this mean.
+        for pos, q in enumerate(queues):
+            mean_a = q.mean_interarrival_at_saturation
+            if rho > 0.0 and not math.isfinite(mean_a / rho):
+                raise InvalidInput(
+                    f"queues[{pos}]: mean_interarrival_at_saturation / rho "
+                    f"must be finite, got {mean_a!r} / {rho!r}"
+                )
 
     @property
     def n(self) -> int:

@@ -24,6 +24,10 @@ it is written for throughput and determinism rather than generality:
 * Queue lengths and the realized load come from the measured waits plus
   each queue's busy time, added once per visit that serves: a queue's
   summed sojourn time is its summed waits plus its busy time.
+* numpy and scipy are imported inside the functions that use them
+  (``simulate``, ``_run_replication``, ``_half_width`` and
+  ``fitting.sample_array``), so importing the package for its closed
+  forms loads neither; the first simulation pays for both.
 
 Simulated time starts at the instant the server begins the first visit of
 queue 0 with all queues empty and fresh interarrival countdowns.
@@ -35,10 +39,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
-from scipy.special import stdtrit
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidInput, NumericalBudget
 from .fitting import (
@@ -48,6 +49,9 @@ from .fitting import (
     sample_array,
 )
 from .model import Discipline, SystemSpec, _integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SimConfig", "SimEstimate", "simulate"]
 
@@ -150,11 +154,13 @@ def _run_replication(
     seed: np.random.SeedSequence,
     budget: int,
 ):
+    from numpy.random import default_rng
+
     n = spec.n
     # Substream 3*i feeds queue i's arrivals, 3*i+1 its services and
     # 3*i+2 its switch-overs.
     draws = [
-        _stream(law, np.random.default_rng(substream)).__next__
+        _stream(law, default_rng(substream)).__next__
         for law, substream in zip(
             (law for per_queue in zip(*laws) for law in per_queue),
             seed.spawn(3 * n),
@@ -240,6 +246,9 @@ def _expected_events(spec: SystemSpec, cfg: SimConfig) -> float:
 
 def _half_width(values: list[float]) -> float:
     """Student-t 95% half-width of the mean of two or more `values`."""
+    import numpy as np
+    from scipy.special import stdtrit
+
     spread = float(np.std(values, ddof=1))
     quantile = float(stdtrit(len(values) - 1, 0.975))
     return quantile * spread / math.sqrt(len(values))
@@ -278,8 +287,10 @@ def simulate(
             f"{cfg.max_events}; raise max_events or shorten the run"
         )
 
+    from numpy.random import SeedSequence
+
     laws = _fit_laws(spec)
-    seeds = np.random.SeedSequence(cfg.base_seed).spawn(cfg.replications)
+    seeds = SeedSequence(cfg.base_seed).spawn(cfg.replications)
     n = spec.n
 
     all_batch_means: list[list[float]] = [[] for _ in range(n)]

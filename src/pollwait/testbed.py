@@ -27,10 +27,7 @@ import os
 import typing
 from dataclasses import dataclass
 from enum import Enum
-from multiprocessing import Pool
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .approx import Method, mean_wait
 from .errors import InvalidInput
@@ -355,6 +352,8 @@ def _auto_config(
 
 
 def _case_seed(base_seed: int, index: int) -> int:
+    import numpy as np
+
     state = np.random.SeedSequence([base_seed, index]).generate_state(
         1, np.uint64
     )
@@ -464,6 +463,8 @@ def run_comparison(
     if jobs == 1 or len(cases) <= 1:
         chunks = [run_case(item) for item in enumerate(cases)]
     else:
+        from multiprocessing import Pool
+
         with Pool(processes=min(jobs, len(cases))) as pool:
             chunks = pool.map(run_case, enumerate(cases), chunksize=1)
     records = [r for chunk in chunks for r in chunk]

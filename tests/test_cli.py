@@ -302,6 +302,28 @@ def test_analyze_rejects_overflowing_moments(capsys, tmp_path, fields):
     assert err == "error: moment aggregates overflow a float\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_overflowing_interarrival_mean_names_file_and_queue(
+    capsys, tmp_path, command
+):
+    # At rho 0.5 the simulator's interarrival mean 1e308 / 0.5 overflows;
+    # the check runs as the file is read.
+    data = {
+        "version": "v1",
+        "discipline": "gated",
+        "rho": 0.5,
+        "queues": [_plain_queue(1e308)],
+    }
+    data["queues"][0]["mean_interarrival_at_saturation"] = 1e308
+    path = write_spec(tmp_path, data)
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: queues[0]: mean_interarrival_at_saturation / rho "
+        "must be finite, got 1e+308 / 0.5\n"
+    )
+
+
 def _plain_queue(mean_service):
     # A v1 queue entry with interarrival mean 2 and every other moment 1.
     return dict(

@@ -148,6 +148,32 @@ def test_system_load_range():
     SystemSpec(queues=queues, discipline=Discipline.EXHAUSTIVE, rho=0.0)
 
 
+def test_system_interarrival_mean_at_load_must_be_finite():
+    # The simulator fits a law to mean_interarrival_at_saturation / rho, so
+    # a load at which that quotient overflows is rejected with the queue.
+    huge = make_queue(mean_service=1e308, mean_interarrival_at_saturation=1e308)
+    with pytest.raises(InvalidInput) as exc:
+        SystemSpec((huge,), "gated", 0.5)
+    assert str(exc.value) == (
+        "queues[0]: mean_interarrival_at_saturation / rho must be finite, "
+        "got 1e+308 / 0.5"
+    )
+    # At zero load nothing arrives, so nothing is drawn.
+    SystemSpec((huge,), "gated", 0.0)
+    # The message names the first queue whose quotient overflows.
+    light = make_queue(mean_service=0.5, mean_interarrival_at_saturation=1.0)
+    heavy = make_queue(mean_service=1e307, mean_interarrival_at_saturation=2e307)
+    message = r"^queues\[1\]: .* got 2e\+307 / 0\.1$"
+    with pytest.raises(InvalidInput, match=message):
+        SystemSpec((light, heavy), "exhaustive", 0.1)
+    # Just inside the float range the system is valid and can be simulated.
+    spec = SystemSpec((light, heavy), "exhaustive", 0.2)
+    cfg = SimConfig(
+        warmup_cycles=10, measured_cycles=200, replications=2, batch_count=2
+    )
+    assert simulate(spec, cfg).samples_per_queue[1] == 0
+
+
 def test_system_load_fractions_must_sum_to_one():
     with pytest.raises(InvalidInput, match="load fractions must sum to 1"):
         SystemSpec(

@@ -522,3 +522,37 @@ def test_import_leaves_scipy_stats_unloaded():
         timeout=120,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_commands_that_do_not_simulate_leave_numpy_and_scipy_unloaded():
+    # The closed forms need neither numpy, scipy nor a process pool; the
+    # simulator and the test bed import them when they first run.
+    code = """
+import contextlib, io, json, sys
+import pollwait
+from pollwait import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    return out.getvalue()
+
+for fmt in ("text", "json", "csv"):
+    run(["analyze", "--preset", "three-queue", "--format", fmt])
+run(["sweep", "--preset", "three-queue", "--rho-grid", "0.1:0.9:0.2"])
+run(["demo-spec", "--preset", "small-switchover"])
+loaded = [m for m in ("numpy", "scipy", "multiprocessing") if m in sys.modules]
+print(json.dumps(loaded))
+sim = run(["simulate", "--preset", "three-queue", "--cycles", "2000",
+           "--warmup", "200", "--reps", "2", "--batches", "2"])
+print(len(json.loads(sim)["mean_wait"]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out.split() == ["[]", "3"]
