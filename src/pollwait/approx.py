@@ -25,7 +25,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InvalidInput
 from .model import (
     DerivedMoments,
     Discipline,
@@ -65,7 +64,8 @@ class Method(Enum):
     * ``pcl-based``: splits the pseudo-conservation-law total over queues,
       proportionally to ``1 - rho_i`` (exhaustive) or ``1 + rho_i``
       (gated).  At zero load the split degenerates to 0/0 and is replaced
-      by its continuous limit, the mean residual total switch-over time.
+      by its continuous limit, the mean residual total switch-over time;
+      so is a load at which every queue's load underflows to 0.
     """
 
     INTERPOLATION = "interpolation"
@@ -225,14 +225,11 @@ class _System:
         return weighted - self.pcl_rhs(rho)
 
     def pcl_based(self, rho: float) -> tuple[float, ...]:
-        if rho == 0.0:
-            return (self.dm.switchover_residual,) * self.dm.n
         loads = tuple(rho * f for f in self.dm.load_fractions)
+        # Every load is in [0, 1), so denom is 0 only when every load is 0.
         denom = sum(x * (1.0 + self.sign * x) for x in loads)
-        if denom <= 0.0:
-            raise InvalidInput(
-                f"load-weighted split denominator is {denom!r} at rho={rho!r}"
-            )
+        if denom == 0.0:
+            return (self.dm.switchover_residual,) * self.dm.n
         cycle_residual = self.pcl_rhs(rho) / denom
         return tuple((1.0 + self.sign * x) * cycle_residual for x in loads)
 

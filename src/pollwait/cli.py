@@ -34,7 +34,6 @@ import math
 import os
 import sys
 import tempfile
-from enum import Enum
 from typing import Optional, Sequence
 
 from .approx import Method, mean_wait, pcl_residual, pcl_rhs
@@ -144,24 +143,6 @@ def _spec_from_document(
         except InvalidInput as exc:
             raise InvalidInput(f"{label}: {exc}") from exc
     return SystemSpec(queues=queues, discipline=discipline, rho=rho)
-
-
-def spec_to_dict(spec: SystemSpec) -> dict:
-    """JSON-serializable v1 form of a system description."""
-    queues = [
-        {
-            key: value.value if isinstance(value, Enum) else value
-            for key, value in dataclasses.asdict(q).items()
-            if value is not None
-        }
-        for q in spec.queues
-    ]
-    return {
-        "version": SCHEMA_VERSION,
-        "discipline": spec.discipline.value,
-        "rho": spec.rho,
-        "queues": queues,
-    }
 
 
 _MAX_GRID_POINTS = 100_000
@@ -438,8 +419,7 @@ def _cmd_testbed(args) -> int:
 
 
 def _cmd_demo_spec(args) -> int:
-    spec = _resolve_spec(args, rho=args.rho)
-    print(json.dumps(spec_to_dict(spec), indent=2))
+    print(json.dumps(_PRESETS[args.preset], indent=2))
     return _EXIT_OK
 
 
@@ -555,9 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--preset", default="three-queue", choices=sorted(_PRESETS)
     )
-    p.add_argument("--rho", type=float)
-    p.add_argument("--discipline", choices=[d.value for d in Discipline])
-    p.set_defaults(func=_cmd_demo_spec, spec=None)
+    p.set_defaults(func=_cmd_demo_spec)
 
     return parser
 

@@ -79,13 +79,14 @@ class DensityMode(Enum):
 def _number(value, label: str) -> float:
     # Real numbers, numpy scalars among them, but no bools (numpy's bool is
     # not a numbers.Real); plain floats and ints skip the slower check.
+    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
     kind = type(value)
     if kind is not float and kind is not int and (
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
         raise InvalidInput(f"{label} must be a number, got {value!r}")
     try:
-        return float(value)
+        return float(value) + 0.0
     except OverflowError:
         raise InvalidInput(f"{label} is too large for a float") from None
 

@@ -422,14 +422,18 @@ def run_comparison(
         What to run.  Case order defines ``case_index`` in the records;
         no method may appear twice.
     cfg : SimConfig, optional
-        Fixed run lengths for every case.  By default each case is sized
-        automatically to about `target_customers` pooled waiting times over
-        `replications` replications; both must be at least 1.
+        Fixed run lengths for every case, which then ignore
+        `target_customers` and `replications`.  By default each case is
+        sized automatically to about `target_customers` pooled waiting
+        times over `replications` replications.
     base_seed : int
         Every case derives its own seed from this and its index, so
         results do not depend on `jobs`.
     jobs : int, optional
-        Worker processes, at least 1; defaults to the CPU count.
+        Worker processes; defaults to the CPU count.
+
+    `target_customers`, `replications` and `jobs` must be integers of at
+    least 1, and `base_seed` one of at least 0, with or without `cfg`.
 
     Returns
     -------
@@ -440,6 +444,9 @@ def run_comparison(
         raise InvalidInput(
             f"methods must not repeat, got {[m.value for m in methods]}"
         )
+    replications = _integer(replications, "replications")
+    target_customers = _integer(target_customers, "target_customers")
+    base_seed = _integer(base_seed, "base_seed")
     if replications < 1 or target_customers < 1:
         raise InvalidInput(
             "replications and target samples must be >= 1, got "
@@ -447,9 +454,8 @@ def run_comparison(
         )
     if base_seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {base_seed}")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    elif jobs < 1:
+    jobs = (os.cpu_count() or 1) if jobs is None else _integer(jobs, "jobs")
+    if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
     run_case = functools.partial(
         _run_case,

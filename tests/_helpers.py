@@ -1,9 +1,11 @@
 """Checks that only tests need: realized moments of a fitted law, the
-mean error of a filtered set of test-bed records, and the systems of the
-command line's presets."""
+mean error of a filtered set of test-bed records, the systems of the
+command line's presets, and the v1 document of a system."""
 
 from __future__ import annotations
 
+import dataclasses
+from enum import Enum
 from typing import Callable, Optional
 
 from pollwait import cli
@@ -53,3 +55,21 @@ def preset_spec(
     """The system of ``--preset name`` at load `rho`, read as the command
     line reads it; `discipline` overrides the preset's exhaustive service."""
     return cli._spec_from_document(cli._PRESETS[name], rho, discipline)
+
+
+def spec_to_dict(spec: SystemSpec) -> dict:
+    """JSON-serializable v1 form of a system description."""
+    queues = [
+        {
+            key: value.value if isinstance(value, Enum) else value
+            for key, value in dataclasses.asdict(q).items()
+            if value is not None
+        }
+        for q in spec.queues
+    ]
+    return {
+        "version": cli.SCHEMA_VERSION,
+        "discipline": spec.discipline.value,
+        "rho": spec.rho,
+        "queues": queues,
+    }

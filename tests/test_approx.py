@@ -358,6 +358,16 @@ def test_pcl_split_is_continuous_at_zero_load():
         assert abs(w - 213 / 112) <= 1e-6
 
 
+def test_pcl_split_at_an_underflowing_load_is_the_zero_load_value():
+    # At rho = 5e-324 every queue's load rho / 3 underflows to 0, so the
+    # split is the same 0/0 as at zero load.
+    queue = QueueSpec(1e-20 / 3, 1.0, 1e-20, 1.0, 1.0, 1.0)
+    for disc in (EXH, GAT):
+        for rho in (5e-324, 0.0):
+            spec = SystemSpec(queues=(queue,) * 3, discipline=disc, rho=rho)
+            assert mean_wait(spec, Method.PCL_BASED).mean_wait == (2.0,) * 3
+
+
 def test_every_method_carries_the_heavy_traffic_delay():
     for disc in (EXH, GAT):
         spec = three_queue_mixed(disc, rho=0.4)

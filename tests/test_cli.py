@@ -26,10 +26,9 @@ from pollwait.cli import (
     _parse_rho_grid,
     load_spec_file,
     main,
-    spec_to_dict,
 )
 
-from _helpers import preset_spec
+from _helpers import preset_spec, spec_to_dict
 
 
 def run(capsys, *argv):
@@ -119,6 +118,15 @@ def test_analyze_text_output(capsys):
     assert "method: interpolation" in out
     assert "pcl_residual:" in out
     assert len(out.strip().split("\n")) == 2 + 3 + 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_negative_zero_load_is_zero(capsys, fmt):
+    argv = ["analyze", "--preset", "three-queue", "--format", fmt]
+    code, out, _ = run(capsys, *argv, "--rho=-0.0")
+    assert code == 0
+    assert out == run(capsys, *argv, "--rho", "0")[1]
+    assert math.copysign(1.0, preset_spec("three-queue", -0.0).rho) == 1.0
 
 
 def test_analyze_csv_output(capsys):
@@ -442,6 +450,7 @@ def test_sweep_row_counts(capsys):
         "0:nan:0.1",
         "0:0.5:nan",
         "0:0.5:1e-300",
+        "4e-11:0.99999999999:0.5",
     ],
 )
 def test_sweep_grid_rejections(capsys, grid):

@@ -50,10 +50,9 @@ from pollwait.cli import (
     _TOP_LEVEL_KEYS,
     load_spec_file,
     main,
-    spec_to_dict,
 )
 
-from _helpers import preset_spec
+from _helpers import preset_spec, spec_to_dict
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,

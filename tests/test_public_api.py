@@ -1,5 +1,6 @@
 """The package's public names, pinned so that any change shows in a diff."""
 
+import argparse
 import importlib.util
 import pathlib
 
@@ -49,6 +50,46 @@ PUBLIC_NAMES = [
 
 def test_package_public_names():
     assert sorted(pollwait.__all__) == PUBLIC_NAMES
+
+
+# Each subcommand's settable values, in the order of its help: the
+# positional argument by name, then the option strings.
+COMMAND_LINE = {
+    "analyze": [
+        "spec", "--preset", "--discipline", "--rho", "--method", "--format",
+    ],
+    "sweep": [
+        "spec", "--preset", "--discipline", "--rho-grid", "--methods",
+        "--with-sim", "--sim-cycles", "--sim-reps", "--seed", "--max-events",
+        "--out",
+    ],
+    "simulate": [
+        "spec", "--preset", "--discipline", "--rho", "--cycles", "--warmup",
+        "--reps", "--seed", "--batches", "--max-events",
+    ],
+    "testbed": [
+        "--discipline", "--subset", "--out", "--methods", "--jobs", "--seed",
+        "--target-samples", "--reps",
+    ],
+    "demo-spec": ["--preset"],
+}
+
+
+def test_command_line_options():
+    parser = cli._build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: [
+            flag
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings or [action.dest]
+        ]
+        for name, sub in commands.choices.items()
+    }
+    assert surface == COMMAND_LINE
 
 
 def test_closed_forms_have_one_estimator_entry_point():

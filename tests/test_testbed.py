@@ -18,6 +18,7 @@ from pollwait import (
     sampled_bed,
     standard_bed,
 )
+from pollwait import testbed
 from pollwait.sim import SimConfig
 from pollwait.testbed import (
     FACETS,
@@ -254,6 +255,26 @@ def test_run_comparison_rejects_repeated_methods():
     methods = (Method.INTERPOLATION, Method.LT_ONLY, Method.INTERPOLATION)
     with pytest.raises(InvalidInput, match="methods must not repeat"):
         run_comparison(SMOKE_CASES, methods, EXH, cfg=SMOKE_CFG, jobs=1)
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("target_customers", float("nan")),
+        ("target_customers", True),
+        ("replications", 2.0),
+        ("base_seed", 1.5),
+        ("jobs", 1.5),
+    ],
+)
+def test_run_comparison_rejects_non_integer_settings(monkeypatch, setting, value):
+    def no_simulation(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(testbed, "_run_case", no_simulation)
+    kwargs = {"jobs": 1, setting: value}
+    with pytest.raises(InvalidInput, match=f"{setting} must be an integer"):
+        run_comparison(SMOKE_CASES[:2], (Method.INTERPOLATION,), EXH, **kwargs)
 
 
 def synthetic_report(cases_and_errors=None):
