@@ -16,6 +16,7 @@ All formulas are closed form; nothing here simulates or iterates.  What
 does not depend on the load (the moments, the constants and the
 heavy-traffic delays) is derived once per system and kept in a small memo
 keyed on its queues and discipline, so each estimate costs a few flops.
+The moments are derived in one pass over the queues (`derive_moments`).
 """
 
 from __future__ import annotations
@@ -247,7 +248,14 @@ _WAITS = {
 def _system_of(queues: tuple[QueueSpec, ...], discipline: Discipline) -> _System:
     # Keyed on the queues themselves, so every QueueSpec field is in the
     # key.  The record is immutable, so sharing it between callers is safe.
-    dm = derive_moments(SystemSpec(queues, discipline, 0.0))
+    # The queues come from a validated SystemSpec and derive_moments reads
+    # nothing else, so its rho-0 spec is assembled without checking them
+    # a second time.
+    spec = object.__new__(SystemSpec)
+    object.__setattr__(spec, "queues", queues)
+    object.__setattr__(spec, "discipline", discipline)
+    object.__setattr__(spec, "rho", 0.0)
+    dm = derive_moments(spec)
     sign = _SIGN[discipline]
     delays = _heavy_traffic_delays(dm, sign)
     constants = _interpolation_constants(dm, sign, delays)

@@ -135,18 +135,51 @@ def fit_two_moments(mean: float, scv: float) -> FittedDistribution:
             rate2=(1.0 - skew) / mean,
         )
 
-    shape = int(math.ceil(1.0 / scv - _CEIL_GUARD))
-    disc = shape * (1.0 + scv) - shape * shape * scv
-    prob = (shape * scv - math.sqrt(max(disc, 0.0))) / (1.0 + scv)
+    shape, prob = _mixed_erlang(scv)
     rate = (shape - prob) / mean
     return FittedDistribution(
         DistKind.MIXED_ERLANG, mean, scv, prob=prob, shape=shape, rate=rate
     )
 
 
+def _mixed_erlang(scv: float) -> tuple[int, float]:
+    # The shape k and the probability of the Erlang(k-1) branch; the rate
+    # alone depends on the mean.
+    shape = int(math.ceil(1.0 / scv - _CEIL_GUARD))
+    disc = shape * (1.0 + scv) - shape * shape * scv
+    return shape, (shape * scv - math.sqrt(max(disc, 0.0))) / (1.0 + scv)
+
+
 def _h2_normalized_density(scv: float) -> float:
     # Closed form of mean * (p*rate1 + (1-p)*rate2) for the balanced fit.
     return 2.0 * scv / (scv + 1.0)
+
+
+def _mixed_erlang_density(shape: int, prob: float) -> float:
+    if shape == 1:
+        # Degenerate mixture (scv == 1 fitted as mixed Erlang): exponential.
+        return 1.0
+    if shape == 2:
+        # Only the single-stage branch has density at zero:
+        # mean * prob * rate = prob * (2 - prob).  prob can round to a tiny
+        # negative value just below a 1/k boundary; clamp.
+        return max(0.0, prob * (2.0 - prob))
+    return 0.0
+
+
+def _fitted_density_at_zero(scv: float) -> float:
+    """``density_at_zero(fit_two_moments(mean, scv))`` for any mean.
+
+    The value is scale free, so it is computed from the fittable `scv`
+    without building the law.
+    """
+    if scv == 0.0:
+        return 0.0
+    if scv == 1.0:
+        return 1.0
+    if scv > 1.0:
+        return _h2_normalized_density(scv)
+    return _mixed_erlang_density(*_mixed_erlang(scv))
 
 
 def density_at_zero(dist: FittedDistribution) -> float:
@@ -163,15 +196,7 @@ def density_at_zero(dist: FittedDistribution) -> float:
         return 1.0
     if dist.kind is DistKind.HYPEREXPONENTIAL:
         return _h2_normalized_density(dist.scv)
-    if dist.shape == 1:
-        # Degenerate mixture (scv == 1 fitted as mixed Erlang): exponential.
-        return 1.0
-    if dist.shape == 2:
-        # Only the single-stage branch has density at zero:
-        # mean * prob * rate = prob * (2 - prob).  prob can round to a tiny
-        # negative value just below a 1/k boundary; clamp.
-        return max(0.0, dist.prob * (2.0 - dist.prob))
-    return 0.0
+    return _mixed_erlang_density(dist.shape, dist.prob)
 
 
 def density_at_zero_two_moment_approx(scv: float) -> float:

@@ -24,11 +24,13 @@ from enum import Enum
 from typing import Optional
 
 from .errors import InvalidInput
+# fit_two_moments is not called here; it stays a module attribute because
+# bench/tracer.py wraps it by name.
 from .fitting import (
     _check_fittable,
-    density_at_zero,
+    _fitted_density_at_zero,
     density_at_zero_two_moment_approx,
-    fit_two_moments,
+    fit_two_moments,  # noqa: F401
 )
 
 __all__ = [
@@ -79,14 +81,15 @@ class DensityMode(Enum):
 def _number(value, label: str) -> float:
     # Real numbers, numpy scalars among them, but no bools (numpy's bool is
     # not a numbers.Real); plain floats and ints skip the slower check.
-    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+    # Only -0.0 and 0.0 are false: -0.0 becomes 0.0, and any other float
+    # comes back as the same object.
     kind = type(value)
     if kind is not float and kind is not int and (
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
         raise InvalidInput(f"{label} must be a number, got {value!r}")
     try:
-        return float(value) + 0.0
+        return float(value) or 0.0
     except OverflowError:
         raise InvalidInput(f"{label} is too large for a float") from None
 
@@ -106,7 +109,7 @@ def _choice(kind: type[Enum], value, label: str) -> Enum:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueSpec:
     """Two-moment description of one queue of the cycle.
 
@@ -191,7 +194,7 @@ class QueueSpec:
 _QUEUE_NUMBERS = [f.name for f in dataclasses.fields(QueueSpec)][:6]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemSpec:
     """A cyclic polling system at a given total load.
 
@@ -295,14 +298,14 @@ def _density_value(queue: QueueSpec) -> float:
         return density_at_zero_two_moment_approx(queue.scv_interarrival)
     if mode is DensityMode.USER_VALUE:
         return queue.density_value
-    fitted = fit_two_moments(
-        queue.mean_interarrival_at_saturation, queue.scv_interarrival
-    )
-    return density_at_zero(fitted)
+    return _fitted_density_at_zero(queue.scv_interarrival)
 
 
 def derive_moments(spec: SystemSpec) -> DerivedMoments:
     """Compute the moment aggregates the approximations are built from.
+
+    One pass over the queues collects each queue's terms; each aggregate is
+    then the sum of its terms.  Only ``spec.queues`` is read.
 
     Parameters
     ----------
@@ -316,10 +319,11 @@ def derive_moments(spec: SystemSpec) -> DerivedMoments:
     Raises
     ------
     InvalidInput
-        If a moment aggregate overflows a float.
+        If a moment aggregate overflows a float.  The message names the
+        first queue whose own terms overflow, if there is one.
     """
     try:
-        dm = _derive_moments(spec)
+        dm = _derive_moments(spec.queues)
     except OverflowError:  # ``**`` raises; a product overflows to inf
         dm = None
     # The aggregates are non-negative: their sum is finite only if each is.
@@ -329,54 +333,62 @@ def derive_moments(spec: SystemSpec) -> DerivedMoments:
         + dm.heavy_traffic_variance
         + sum(dm.service_residuals)
     ):
-        raise InvalidInput("moment aggregates overflow a float")
+        raise InvalidInput(_overflow_message(spec.queues))
     return dm
 
 
-def _derive_moments(spec: SystemSpec) -> DerivedMoments:
-    queues = spec.queues
-    load_fractions = tuple(q.load_fraction for q in queues)
-    rates = tuple(1.0 / q.mean_interarrival_at_saturation for q in queues)
+def _overflow_message(queues: tuple[QueueSpec, ...]) -> str:
+    message = "moment aggregates overflow a float"
+    for pos, q in enumerate(queues):
+        try:
+            finite = all(map(math.isfinite, _queue_terms(q)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            return f"queues[{pos}]: {message}"
+    return message
 
-    sw_means = tuple(q.mean_switchover for q in queues)
-    sw_vars = tuple(
-        q.scv_switchover * q.mean_switchover**2 for q in queues
+
+def _queue_terms(q: QueueSpec) -> tuple[float, ...]:
+    # One queue's term of every aggregate: load fraction, switch-over mean
+    # and variance, service residual, its terms of the second and first
+    # service moment rates and of the heavy-traffic variance, and its
+    # density value.
+    mean_s, scv_s = q.mean_service, q.scv_service
+    mean_a, scv_a = q.mean_interarrival_at_saturation, q.scv_interarrival
+    rate = 1.0 / mean_a
+    fraction = mean_s / mean_a
+    square_s = mean_s**2
+    return (
+        fraction,
+        q.mean_switchover,
+        q.scv_switchover * q.mean_switchover**2,
+        (1.0 + scv_s) * mean_s / 2.0,
+        rate * (1.0 + scv_s) * square_s,
+        rate * mean_s,
+        rate * (scv_s * square_s + fraction * fraction * scv_a * mean_a**2),
+        _density_value(q),
+    )
+
+
+def _derive_moments(queues: tuple[QueueSpec, ...]) -> DerivedMoments:
+    # sum() over the collected terms gives the bits of a sum() over the
+    # queues; a += loop would not from Python 3.12 on, whose float sum()
+    # compensates rounding.
+    fractions, sw_means, sw_vars, residuals, second, first, ht, density = (
+        zip(*map(_queue_terms, queues))
     )
     sw_total = sum(sw_means)
     sw_var_total = sum(sw_vars)
     # E[S_res] = E[S^2] / (2 E[S]) for the total switch-over time per cycle.
     sw_residual = (sw_var_total + sw_total**2) / (2.0 * sw_total)
-
-    service_residuals = tuple(
-        (1.0 + q.scv_service) * q.mean_service / 2.0 for q in queues
-    )
-    second_moment_rate = sum(
-        r * (1.0 + q.scv_service) * q.mean_service**2
-        for r, q in zip(rates, queues)
-    )
-    first_moment_rate = sum(
-        r * q.mean_service for r, q in zip(rates, queues)
-    )
-    service_residual_global = second_moment_rate / (2.0 * first_moment_rate)
-
-    ht_variance = sum(
-        r
-        * (
-            q.scv_service * q.mean_service**2
-            + f * f * q.scv_interarrival * q.mean_interarrival_at_saturation**2
-        )
-        for r, f, q in zip(rates, load_fractions, queues)
-    )
-
-    density = tuple(_density_value(q) for q in queues)
-
     return DerivedMoments(
-        load_fractions=load_fractions,
+        load_fractions=fractions,
         switchover_mean_total=sw_total,
         switchover_vars=sw_vars,
         switchover_residual=sw_residual,
-        service_residuals=service_residuals,
-        service_residual_global=service_residual_global,
-        heavy_traffic_variance=ht_variance,
+        service_residuals=residuals,
+        service_residual_global=sum(second) / (2.0 * sum(first)),
+        heavy_traffic_variance=sum(ht),
         density_at_zero=density,
     )

@@ -64,7 +64,7 @@ __all__ = [
 TWO_QUEUE_EXACT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestBedCase:
     """One parameter combination of the accuracy grid.
 

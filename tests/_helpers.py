@@ -1,6 +1,7 @@
 """Checks that only tests need: realized moments of a fitted law, the
 mean error of a filtered set of test-bed records, the systems of the
-command line's presets, and the v1 document of a system."""
+command line's presets, the v1 document of a system, and a reference
+derivation of a system's moment aggregates."""
 
 from __future__ import annotations
 
@@ -10,8 +11,14 @@ from typing import Callable, Optional
 
 from pollwait import cli
 from pollwait.approx import Method
-from pollwait.fitting import DistKind, FittedDistribution
-from pollwait.model import Discipline, SystemSpec
+from pollwait.fitting import (
+    DistKind,
+    FittedDistribution,
+    density_at_zero,
+    density_at_zero_two_moment_approx,
+    fit_two_moments,
+)
+from pollwait.model import DensityMode, DerivedMoments, Discipline, SystemSpec
 from pollwait.testbed import ErrorRecord, ErrorReport, _mean
 
 
@@ -73,3 +80,62 @@ def spec_to_dict(spec: SystemSpec) -> dict:
         "rho": spec.rho,
         "queues": queues,
     }
+
+
+def reference_moments(spec: SystemSpec) -> DerivedMoments:
+    """`derive_moments` as one generator over the queues per aggregate,
+    with the density of a law fitted to each queue; the program's one-pass
+    derivation must give the same bits."""
+    queues = spec.queues
+    load_fractions = tuple(q.load_fraction for q in queues)
+    rates = tuple(1.0 / q.mean_interarrival_at_saturation for q in queues)
+
+    sw_means = tuple(q.mean_switchover for q in queues)
+    sw_vars = tuple(
+        q.scv_switchover * q.mean_switchover**2 for q in queues
+    )
+    sw_total = sum(sw_means)
+    sw_var_total = sum(sw_vars)
+    sw_residual = (sw_var_total + sw_total**2) / (2.0 * sw_total)
+
+    service_residuals = tuple(
+        (1.0 + q.scv_service) * q.mean_service / 2.0 for q in queues
+    )
+    second_moment_rate = sum(
+        r * (1.0 + q.scv_service) * q.mean_service**2
+        for r, q in zip(rates, queues)
+    )
+    first_moment_rate = sum(
+        r * q.mean_service for r, q in zip(rates, queues)
+    )
+    service_residual_global = second_moment_rate / (2.0 * first_moment_rate)
+
+    ht_variance = sum(
+        r
+        * (
+            q.scv_service * q.mean_service**2
+            + f * f * q.scv_interarrival * q.mean_interarrival_at_saturation**2
+        )
+        for r, f, q in zip(rates, load_fractions, queues)
+    )
+
+    def density(q):
+        if q.density_mode is DensityMode.TWO_MOMENT_APPROX:
+            return density_at_zero_two_moment_approx(q.scv_interarrival)
+        if q.density_mode is DensityMode.USER_VALUE:
+            return q.density_value
+        fitted = fit_two_moments(
+            q.mean_interarrival_at_saturation, q.scv_interarrival
+        )
+        return density_at_zero(fitted)
+
+    return DerivedMoments(
+        load_fractions=load_fractions,
+        switchover_mean_total=sw_total,
+        switchover_vars=sw_vars,
+        switchover_residual=sw_residual,
+        service_residuals=service_residuals,
+        service_residual_global=service_residual_global,
+        heavy_traffic_variance=ht_variance,
+        density_at_zero=tuple(density(q) for q in queues),
+    )

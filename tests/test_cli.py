@@ -307,7 +307,7 @@ def test_analyze_rejects_overflowing_moments(capsys, tmp_path, fields):
     code, out, err = run(capsys, "analyze", path)
     assert code == 2
     assert out == ""
-    assert err == "error: moment aggregates overflow a float\n"
+    assert err == "error: queues[0]: moment aggregates overflow a float\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])

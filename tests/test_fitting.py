@@ -15,6 +15,7 @@ from pollwait import (
     fit_two_moments,
     sample_array,
 )
+from pollwait.fitting import _fitted_density_at_zero
 
 from _helpers import realized_moments
 
@@ -101,6 +102,23 @@ def test_density_at_zero_fitted_values():
         density_at_zero(fit_two_moments(1.0, 3.0)), 1.5, rel_tol=1e-12
     )
     assert density_at_zero(fit_two_moments(1.0, 0.0)) == 0.0
+
+
+def test_fitted_density_needs_no_fitted_law():
+    # Every branch of the fit, the ends of the fitted range, and each 1/k
+    # boundary with its neighbours one ulp away, where the Erlang shape
+    # steps.
+    scvs = [0.0, 1e-15, 1e6, 0.7, *np.logspace(-15, 6, 85)]
+    for boundary in (1.0, 0.5, 1.0 / 3.0, 0.2):
+        scvs += [
+            math.nextafter(boundary, 0.0),
+            boundary,
+            math.nextafter(boundary, 1.0),
+        ]
+    for scv in map(float, scvs):
+        for mean in (1e-12, 0.37, 1.0, 2.5e8):
+            expected = density_at_zero(fit_two_moments(mean, scv))
+            assert _fitted_density_at_zero(scv) == expected, (mean, scv)
 
 
 def test_density_at_zero_single_stage_branch():

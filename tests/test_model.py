@@ -1,6 +1,7 @@
 """Tests for system descriptions and derived moment aggregates."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +21,11 @@ from pollwait import (
     mean_wait,
     scale_to_load,
     simulate,
+    standard_bed,
 )
+from pollwait.testbed import materialize_case
+
+from _helpers import reference_moments
 
 
 def make_queue(**overrides):
@@ -224,6 +229,23 @@ def test_numpy_scalars_are_numbers():
             TestBedCase(2, bad, 1, 1, 1, 1, 1, 1)
 
 
+def test_plain_floats_are_stored_as_given():
+    value = 0.1 * 3.0  # a float made at run time, not a shared constant
+    queue = make_queue(mean_switchover=value, scv_service=value)
+    assert queue.mean_switchover is value and queue.scv_service is value
+    assert SystemSpec((queue, make_queue()), Discipline.GATED, value).rho is value
+    assert TestBedCase(2, value, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0).rho is value
+
+
+def test_descriptions_pickle_and_hold_no_instance_dict():
+    # run_comparison sends cases to its worker processes by pickling them.
+    case = TestBedCase(3, 0.5, 2.0, 0.25, 1.0, 5.0, 1.0, 5.0)
+    spec = three_queue_mixed()
+    for value in (spec.queues[0], spec, case):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert not hasattr(value, "__dict__")
+
+
 def test_queues_coerced_to_tuple():
     spec = SystemSpec(
         queues=[make_queue(), make_queue()],
@@ -283,6 +305,29 @@ def test_derived_moments_reject_overflow(overrides):
     spec = SystemSpec((make_queue(**overrides), make_queue()), Discipline.GATED, 0.5)
     with pytest.raises(InvalidInput, match="overflow"):
         derive_moments(spec)
+
+
+def test_overflow_names_the_first_queue_whose_terms_overflow():
+    third = dict(mean_interarrival_at_saturation=3.0)
+    huge = make_queue(mean_switchover=1e200, **third)
+    spec = SystemSpec((make_queue(**third), huge, huge), Discipline.GATED, 0.5)
+    with pytest.raises(InvalidInput) as exc:
+        derive_moments(spec)
+    assert str(exc.value) == "queues[1]: moment aggregates overflow a float"
+    # Every term finite, only their total's square overflows: no queue is
+    # at fault, and the message names none.
+    wide = make_queue(mean_switchover=1e154, scv_switchover=0.0)
+    with pytest.raises(InvalidInput) as exc:
+        derive_moments(SystemSpec((wide, wide), Discipline.GATED, 0.5))
+    assert str(exc.value) == "moment aggregates overflow a float"
+
+
+def test_derived_moments_match_the_reference_on_the_standard_bed():
+    # One pass over the queues gives the bits of one sum per aggregate.
+    for case in standard_bed():
+        for discipline in Discipline:
+            spec = materialize_case(case, discipline)
+            assert derive_moments(spec) == reference_moments(spec)
 
 
 def test_density_modes_feed_derived_values():

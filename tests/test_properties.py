@@ -37,6 +37,7 @@ from pollwait import (
     QueueSpec,
     SimConfig,
     SystemSpec,
+    derive_moments,
     fit_two_moments,
     mean_wait,
     pcl_residual,
@@ -52,7 +53,7 @@ from pollwait.cli import (
     main,
 )
 
-from _helpers import preset_spec, spec_to_dict
+from _helpers import preset_spec, reference_moments, spec_to_dict
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -143,6 +144,12 @@ def _perturbations(queue):
     if queue.density_mode is DensityMode.USER_VALUE:
         out.append(replace(queue, density_value=queue.density_value + 0.25))
     return out
+
+
+@PROPERTY_SETTINGS
+@given(systems())
+def test_derived_moments_match_the_reference(spec):
+    assert derive_moments(spec) == reference_moments(spec)
 
 
 @PROPERTY_SETTINGS
