@@ -155,18 +155,6 @@ def _h2_normalized_density(scv: float) -> float:
     return 2.0 * scv / (scv + 1.0)
 
 
-def _mixed_erlang_density(shape: int, prob: float) -> float:
-    if shape == 1:
-        # Degenerate mixture (scv == 1 fitted as mixed Erlang): exponential.
-        return 1.0
-    if shape == 2:
-        # Only the single-stage branch has density at zero:
-        # mean * prob * rate = prob * (2 - prob).  prob can round to a tiny
-        # negative value just below a 1/k boundary; clamp.
-        return max(0.0, prob * (2.0 - prob))
-    return 0.0
-
-
 def _fitted_density_at_zero(scv: float) -> float:
     """``density_at_zero(fit_two_moments(mean, scv))`` for any mean.
 
@@ -179,7 +167,16 @@ def _fitted_density_at_zero(scv: float) -> float:
         return 1.0
     if scv > 1.0:
         return _h2_normalized_density(scv)
-    return _mixed_erlang_density(*_mixed_erlang(scv))
+    shape, prob = _mixed_erlang(scv)
+    if shape == 1:
+        # Degenerate mixture (scv just below 1): exponential.
+        return 1.0
+    if shape == 2:
+        # Only the single-stage branch has density at zero:
+        # mean * prob * rate = prob * (2 - prob).  prob can round to a tiny
+        # negative value just below a 1/k boundary; clamp.
+        return max(0.0, prob * (2.0 - prob))
+    return 0.0
 
 
 def density_at_zero(dist: FittedDistribution) -> float:
@@ -190,13 +187,7 @@ def density_at_zero(dist: FittedDistribution) -> float:
     Erlang mixtures with at least two stages in both branches) give 0; the
     exponential gives 1.
     """
-    if dist.kind is DistKind.DETERMINISTIC:
-        return 0.0
-    if dist.kind is DistKind.EXPONENTIAL:
-        return 1.0
-    if dist.kind is DistKind.HYPEREXPONENTIAL:
-        return _h2_normalized_density(dist.scv)
-    return _mixed_erlang_density(dist.shape, dist.prob)
+    return _fitted_density_at_zero(dist.scv)
 
 
 def density_at_zero_two_moment_approx(scv: float) -> float:

@@ -1,5 +1,5 @@
-"""Checks that only tests need: realized moments of a fitted law, the
-mean error of a filtered set of test-bed records, the systems of the
+"""Checks that only tests need: realized moments and the density at zero
+of a fitted law, the mean error of a filtered set of test-bed records, the systems of the
 command line's presets, the v1 document of a system, and a reference
 derivation of a system's moment aggregates."""
 
@@ -14,7 +14,6 @@ from pollwait.approx import Method
 from pollwait.fitting import (
     DistKind,
     FittedDistribution,
-    density_at_zero,
     density_at_zero_two_moment_approx,
     fit_two_moments,
 )
@@ -39,6 +38,23 @@ def realized_moments(dist: FittedDistribution) -> tuple[float, float]:
     mean = (k - p) / mu
     var = (k - p * p) / (mu * mu)
     return mean, var / (mean * mean)
+
+
+def law_density_at_zero(dist: FittedDistribution) -> float:
+    """``mean * g(0)`` read from the kind and parameters of `dist`, in the
+    same float operations as the fitted law's own branches."""
+    if dist.kind is DistKind.DETERMINISTIC:
+        return 0.0
+    if dist.kind is DistKind.EXPONENTIAL:
+        return 1.0
+    if dist.kind is DistKind.HYPEREXPONENTIAL:
+        return 2.0 * dist.scv / (dist.scv + 1.0)
+    if dist.shape == 1:
+        return 1.0
+    if dist.shape == 2:
+        # Only the one-stage branch has density at zero.
+        return max(0.0, dist.prob * (2.0 - dist.prob))
+    return 0.0
 
 
 def mean_abs_error(
@@ -127,7 +143,7 @@ def reference_moments(spec: SystemSpec) -> DerivedMoments:
         fitted = fit_two_moments(
             q.mean_interarrival_at_saturation, q.scv_interarrival
         )
-        return density_at_zero(fitted)
+        return law_density_at_zero(fitted)
 
     return DerivedMoments(
         load_fractions=load_fractions,

@@ -17,7 +17,7 @@ from pollwait import (
 )
 from pollwait.fitting import _fitted_density_at_zero
 
-from _helpers import realized_moments
+from _helpers import law_density_at_zero, realized_moments
 
 
 def test_kind_selection_by_scv():
@@ -105,9 +105,10 @@ def test_density_at_zero_fitted_values():
 
 
 def test_fitted_density_needs_no_fitted_law():
-    # Every branch of the fit, the ends of the fitted range, and each 1/k
-    # boundary with its neighbours one ulp away, where the Erlang shape
-    # steps.
+    # The density computed from the scv alone equals the one read from the
+    # fitted law's parameters, bit for bit, on every branch of the fit, the
+    # ends of the fitted range, and each 1/k boundary with its neighbours
+    # one ulp away, where the Erlang shape steps.
     scvs = [0.0, 1e-15, 1e6, 0.7, *np.logspace(-15, 6, 85)]
     for boundary in (1.0, 0.5, 1.0 / 3.0, 0.2):
         scvs += [
@@ -117,8 +118,10 @@ def test_fitted_density_needs_no_fitted_law():
         ]
     for scv in map(float, scvs):
         for mean in (1e-12, 0.37, 1.0, 2.5e8):
-            expected = density_at_zero(fit_two_moments(mean, scv))
+            dist = fit_two_moments(mean, scv)
+            expected = law_density_at_zero(dist)
             assert _fitted_density_at_zero(scv) == expected, (mean, scv)
+            assert density_at_zero(dist) == expected, (mean, scv)
 
 
 def test_density_at_zero_single_stage_branch():
