@@ -14,9 +14,10 @@ quantify how much each ingredient of the interpolation buys.
 
 All formulas are closed form; nothing here simulates or iterates.  What
 does not depend on the load (the moments, the constants and the
-heavy-traffic delays) is derived once per system and kept in a small memo
-keyed on its queues and discipline, so each estimate costs a few flops.
-The moments are derived in one pass over the queues (`derive_moments`).
+heavy-traffic delays) is derived once per system, in one pass over the
+queues (`derive_moments`), so each estimate costs a few flops.  A lookup
+returns the last record when the queues and discipline are the very objects
+of the last lookup, and otherwise asks a small memo keyed on their values.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class Method(Enum):
       proportionally to ``1 - rho_i`` (exhaustive) or ``1 + rho_i``
       (gated).  At zero load the split degenerates to 0/0 and is replaced
       by its continuous limit, the mean residual total switch-over time;
-      so is a load at which every queue's load underflows to 0.
+      so is a load at which the split's denominator is subnormal.
     """
 
     INTERPOLATION = "interpolation"
@@ -227,9 +228,9 @@ class _System:
 
     def pcl_based(self, rho: float) -> tuple[float, ...]:
         loads = tuple(rho * f for f in self.dm.load_fractions)
-        # Every load is in [0, 1), so denom is 0 only when every load is 0.
+        # A subnormal denom (about rho) keeps too few bits: the 0/0 limit.
         denom = sum(x * (1.0 + self.sign * x) for x in loads)
-        if denom == 0.0:
+        if denom < 2.0**-1022:
             return (self.dm.switchover_residual,) * self.dm.n
         cycle_residual = self.pcl_rhs(rho) / denom
         return tuple((1.0 + self.sign * x) * cycle_residual for x in loads)
@@ -262,9 +263,23 @@ def _system_of(queues: tuple[QueueSpec, ...], discipline: Discipline) -> _System
     return _System(queues, dm, sign, constants, delays)
 
 
+_last = (None, None, None)  # the last lookup's queues, discipline, record
+
+
 def _system(spec: SystemSpec) -> _System:
-    """The memoized load-free record of `spec`'s queues and discipline."""
-    return _system_of(spec.queues, spec.discipline)
+    """The memoized load-free record of `spec`'s queues and discipline.
+
+    The very objects of the last lookup (held in `_last`, so no id is
+    reused) get its record unhashed, since both are immutable; equal but
+    distinct ones, such as a reloaded file's, go to the value-keyed memo.
+    """
+    global _last
+    queues, discipline, record = _last
+    if spec.queues is queues and spec.discipline is discipline:
+        return record
+    record = _system_of(spec.queues, spec.discipline)
+    _last = (spec.queues, spec.discipline, record)
+    return record
 
 
 def mean_wait(spec: SystemSpec, method: Method) -> WaitingTimeResult:

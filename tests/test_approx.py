@@ -10,6 +10,7 @@ the conservation law, the large switch-over limit).
 import math
 
 import numpy as np
+import pytest
 
 from pollwait import (
     DensityMode,
@@ -360,12 +361,39 @@ def test_pcl_split_is_continuous_at_zero_load():
 
 def test_pcl_split_at_an_underflowing_load_is_the_zero_load_value():
     # At rho = 5e-324 every queue's load rho / 3 underflows to 0, so the
-    # split is the same 0/0 as at zero load.
+    # split is the same 0/0 as at zero load.  At the other subnormal loads
+    # the loads keep too few bits for the ratio (it read 1.3333 at 1e-323),
+    # so the split takes the same limit; 3e-308 is just above them.
     queue = QueueSpec(1e-20 / 3, 1.0, 1e-20, 1.0, 1.0, 1.0)
     for disc in (EXH, GAT):
-        for rho in (5e-324, 0.0):
+        for rho in (5e-324, 1e-323, 1e-320, 1e-310, 0.0):
             spec = SystemSpec(queues=(queue,) * 3, discipline=disc, rho=rho)
             assert mean_wait(spec, Method.PCL_BASED).mean_wait == (2.0,) * 3
+        spec = SystemSpec(queues=(queue,) * 3, discipline=disc, rho=3e-308)
+        for w in mean_wait(spec, Method.PCL_BASED).mean_wait:
+            assert math.isclose(w, 2.0, rel_tol=1e-12)
+
+
+def test_repeat_estimates_of_one_description_hash_no_queue(monkeypatch):
+    spec = three_queue_mixed(EXH, rho=0.5)
+    mean_wait(spec, INTERP)
+
+    def refuse(self):
+        raise AssertionError("QueueSpec hashed")
+
+    monkeypatch.setattr(QueueSpec, "__hash__", refuse)
+    for rho in (0.1, 0.5, 0.9):
+        at = scale_to_load(spec, rho)
+        for method in Method:
+            mean_wait(at, method)
+        pcl_residual(at)
+    # A description that is equal but not the same object, or that differs
+    # only in its discipline, goes to the value-keyed memo and hashes.
+    rebuilt = SystemSpec(tuple(list(spec.queues)), EXH, 0.5)
+    other = SystemSpec(spec.queues, GAT, 0.5)
+    for changed in (rebuilt, other):
+        with pytest.raises(AssertionError, match="QueueSpec hashed"):
+            mean_wait(changed, INTERP)
 
 
 def test_every_method_carries_the_heavy_traffic_delay():

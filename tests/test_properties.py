@@ -116,8 +116,14 @@ def _outputs(spec):
 
 
 def _fresh_outputs(spec):
-    _system_of.cache_clear()
-    return _outputs(spec)
+    # From a record derived afresh, past both the last-lookup shortcut and
+    # the memo, so neither can hand back a stale record here.
+    record = _system_of.__wrapped__(spec.queues, spec.discipline)
+    return (
+        tuple(record.result(m, spec.rho) for m in Method),
+        record.pcl_rhs(spec.rho),
+        record.pcl_residual(spec.rho),
+    )
 
 
 def _perturbations(queue):
