@@ -17,14 +17,13 @@ does not depend on the load (the moments, the constants and the
 heavy-traffic delays) is derived once per system, in one pass over the
 queues (`derive_moments`), so each estimate costs a few flops.  A lookup
 returns the last record when the queues and discipline are the very objects
-of the last lookup, and otherwise asks a small memo keyed on their values.
+of the last lookup, and otherwise derives the record afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 from .model import (
@@ -245,40 +244,30 @@ _WAITS = {
 }
 
 
-@lru_cache(maxsize=256)
-def _system_of(queues: tuple[QueueSpec, ...], discipline: Discipline) -> _System:
-    # Keyed on the queues themselves, so every QueueSpec field is in the
-    # key.  The record is immutable, so sharing it between callers is safe.
-    # The queues come from a validated SystemSpec and derive_moments reads
-    # nothing else, so its rho-0 spec is assembled without checking them
-    # a second time.
-    spec = object.__new__(SystemSpec)
-    object.__setattr__(spec, "queues", queues)
-    object.__setattr__(spec, "discipline", discipline)
-    object.__setattr__(spec, "rho", 0.0)
+def _derive_system(spec: SystemSpec) -> _System:
+    # The record is immutable, so sharing it between callers is safe.
     dm = derive_moments(spec)
-    sign = _SIGN[discipline]
+    sign = _SIGN[spec.discipline]
     delays = _heavy_traffic_delays(dm, sign)
     constants = _interpolation_constants(dm, sign, delays)
-    return _System(queues, dm, sign, constants, delays)
+    return _System(spec.queues, dm, sign, constants, delays)
 
 
 _last = (None, None, None)  # the last lookup's queues, discipline, record
 
 
 def _system(spec: SystemSpec) -> _System:
-    """The memoized load-free record of `spec`'s queues and discipline.
+    """The load-free record of `spec`'s queues and discipline.
 
     The very objects of the last lookup (held in `_last`, so no id is
-    reused) get its record unhashed, since both are immutable; equal but
-    distinct ones, such as a reloaded file's, go to the value-keyed memo.
+    reused) get its record, since both are immutable; any other description,
+    even an equal one such as a reloaded file's, is derived afresh.
     """
     global _last
     queues, discipline, record = _last
-    if spec.queues is queues and spec.discipline is discipline:
-        return record
-    record = _system_of(spec.queues, spec.discipline)
-    _last = (spec.queues, spec.discipline, record)
+    if spec.queues is not queues or spec.discipline is not discipline:
+        record = _derive_system(spec)
+        _last = (spec.queues, spec.discipline, record)
     return record
 
 

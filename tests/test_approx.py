@@ -17,13 +17,18 @@ from pollwait import (
     Discipline,
     Method,
     QueueSpec,
+    SimConfig,
     SystemSpec,
+    TestBedCase,
+    approx,
     derive_moments,
     mean_wait,
     pcl_residual,
     pcl_rhs,
+    run_comparison,
     scale_to_load,
 )
+from pollwait.cli import main
 
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
@@ -374,7 +379,15 @@ def test_pcl_split_at_an_underflowing_load_is_the_zero_load_value():
             assert math.isclose(w, 2.0, rel_tol=1e-12)
 
 
-def test_repeat_estimates_of_one_description_hash_no_queue(monkeypatch):
+def _all_outputs(spec):
+    return (
+        tuple(mean_wait(spec, m) for m in Method),
+        pcl_rhs(spec),
+        pcl_residual(spec),
+    )
+
+
+def test_no_estimate_hashes_a_queue_spec(monkeypatch):
     spec = three_queue_mixed(EXH, rho=0.5)
     mean_wait(spec, INTERP)
 
@@ -388,12 +401,68 @@ def test_repeat_estimates_of_one_description_hash_no_queue(monkeypatch):
             mean_wait(at, method)
         pcl_residual(at)
     # A description that is equal but not the same object, or that differs
-    # only in its discipline, goes to the value-keyed memo and hashes.
+    # only in its discipline, is derived afresh, again without a hash.
     rebuilt = SystemSpec(tuple(list(spec.queues)), EXH, 0.5)
     other = SystemSpec(spec.queues, GAT, 0.5)
     for changed in (rebuilt, other):
-        with pytest.raises(AssertionError, match="QueueSpec hashed"):
-            mean_wait(changed, INTERP)
+        mean_wait(spec, INTERP)
+        record = approx._derive_system(changed)
+        fresh = (
+            tuple(record.result(m, 0.5) for m in Method),
+            record.pcl_rhs(0.5),
+            record.pcl_residual(0.5),
+        )
+        assert _all_outputs(changed) == fresh
+
+
+def _count_derivations(monkeypatch):
+    # Every record lookup that misses derives through the module attribute.
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return derive_moments(spec)
+
+    monkeypatch.setattr(approx, "derive_moments", counting)
+    monkeypatch.setattr(approx, "_last", (None, None, None))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--preset", "three-queue", "--rho-grid", "0:0.9:0.1",
+         "--methods", ",".join(m.value for m in Method)],
+        ["analyze", "--preset", "three-queue", "--format", "json"],
+    ],
+)
+def test_a_command_derives_its_record_once(monkeypatch, capsys, argv):
+    calls = _count_derivations(monkeypatch)
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_a_comparison_derives_one_record_per_case(monkeypatch):
+    cases = [
+        TestBedCase(2, 0.3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        TestBedCase(2, 0.5, 2.0, 0.25, 1.0, 5.0, 1.0, 1.0),
+        TestBedCase(3, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ]
+    cfg = SimConfig(
+        warmup_cycles=50, measured_cycles=200, replications=2, batch_count=2
+    )
+    calls = _count_derivations(monkeypatch)
+    run_comparison(cases, tuple(Method), EXH, cfg=cfg, jobs=1)
+    assert len(calls) == len(cases)
+
+
+def test_alternating_equal_descriptions_derive_each_time(monkeypatch):
+    a = three_queue_mixed(GAT, rho=0.4)
+    b = SystemSpec(tuple(list(a.queues)), GAT, 0.4)
+    calls = _count_derivations(monkeypatch)
+    first, _, again = (_all_outputs(spec) for spec in (a, b, a))
+    assert len(calls) == 3
+    assert first == again
 
 
 def test_every_method_carries_the_heavy_traffic_delay():

@@ -1,11 +1,11 @@
 """Property tests of the closed forms and spec files over random systems.
 
-The estimators read one memoized, load-free record per system, keyed on
-its queues and discipline.  Besides the estimator identities, these tests
-check that the memo never hands one system's record to another: a spec
-that differs in any field the formulas read must give what a fresh
-computation gives, and a spec rebuilt field by field must give the same
-output as the original.
+The estimators read one load-free record per system, reused while the
+same queue tuple and discipline objects come back.  Besides the estimator
+identities, these tests check that the lookup never hands one system's
+record to another: a spec that differs in any field the formulas read must
+give what a fresh computation gives, and a spec rebuilt field by field must
+give the same output as the original.
 
 Spec files round-trip every valid system, and a demo spec file with one
 defect is rejected with exit code 2 and a one-line error.  A value that
@@ -44,7 +44,7 @@ from pollwait import (
     pcl_rhs,
     simulate,
 )
-from pollwait.approx import _system_of
+from pollwait.approx import _derive_system
 from pollwait.cli import (
     _QUEUE_KEYS,
     _QUEUE_REQUIRED,
@@ -116,9 +116,9 @@ def _outputs(spec):
 
 
 def _fresh_outputs(spec):
-    # From a record derived afresh, past both the last-lookup shortcut and
-    # the memo, so neither can hand back a stale record here.
-    record = _system_of.__wrapped__(spec.queues, spec.discipline)
+    # From a record derived afresh, past the last-lookup shortcut, so it
+    # cannot hand back a stale record here.
+    record = _derive_system(spec)
     return (
         tuple(record.result(m, spec.rho) for m in Method),
         record.pcl_rhs(spec.rho),
@@ -163,8 +163,8 @@ def test_derived_moments_match_the_reference(spec):
 def test_constants_sum_to_the_heavy_traffic_delay(spec):
     result = mean_wait(spec, Method.INTERPOLATION)
     constants = result.constants
-    # A record derived afresh, bypassing the memo.
-    fresh = _system_of.__wrapped__(spec.queues, spec.discipline)
+    # A record derived afresh, bypassing the last-lookup shortcut.
+    fresh = _derive_system(spec)
     for i in range(spec.n):
         c = fresh.constants[i]
         omega = result.heavy_traffic_delay[i]
@@ -198,7 +198,7 @@ def test_memo_tells_apart_specs_that_differ_in_one_input(spec, data):
         after = _outputs(changed)
         assert after != before
         assert after == _fresh_outputs(changed)
-        _outputs(spec)  # the memo holds the original again
+        _outputs(spec)  # the shortcut holds the original again
 
 
 @PROPERTY_SETTINGS
