@@ -351,7 +351,8 @@ def _cmd_sweep(args) -> int:
                     f"{_format_float(est.mean_wait[i])},"
                     f"{_format_float(est.ci_half_width[i])}"
                 )
-    text = "\n".join(lines) + "\n"
+    lines.append("")  # so the one join ends the text with a newline
+    text = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

@@ -9,8 +9,10 @@ it is written for throughput and determinism rather than generality:
 * One visit loop serves both disciplines.  It admits a customer that has
   arrived (``arrive <= t``) and arrived before the visit's gate
   (``arrive < gate``); the gate is the visit's start under gated service
-  and infinite under exhaustive service.  An empty visit, the common case
-  at low load, costs one comparison and its switch-over.
+  and infinite under exhaustive service.
+* A cycle walks a tuple, built once per replication, that pairs each
+  queue's index with its switch-over draw.  An empty visit, the common
+  case at low load, costs one comparison plus its switch-over draw.
 * Variates come from per-queue, per-purpose substreams spawned from a
   single seed, so results are reproducible and replications independent.
   Each substream is a C-level iterator: ``itertools.repeat`` for a
@@ -167,6 +169,8 @@ def _run_replication(
         )
     ]
     draw_arrival, draw_service, draw_switch = draws[0::3], draws[1::3], draws[2::3]
+    # Built once: each visit takes its index and switch-over draw in one step.
+    visits = tuple(enumerate(draw_switch))
 
     warmup = cfg.warmup_cycles
     measured = cfg.measured_cycles
@@ -192,12 +196,12 @@ def _run_replication(
         if slot == 0:
             t_measure_begin = t
             busy = [0.0] * n
-        for _ in range(cycles):
-            for i in range(n):
-                arrive = next_arrival[i]
+        for _ in itertools.repeat(None, cycles):
+            for i, switch in visits:
                 # An empty visit is only its switch-over.  An arrival at
                 # the start of a gated visit, its gate, waits a cycle.
-                if arrive <= t and (arrive < t or not gated):
+                if next_arrival[i] <= t and (next_arrival[i] < t or not gated):
+                    arrive = next_arrival[i]
                     next_ia = draw_arrival[i]
                     next_sv = draw_service[i]
                     gate = t if gated else math.inf
@@ -214,7 +218,7 @@ def _run_replication(
                     events += served
                     next_arrival[i] = arrive
                     busy[i] += t - start
-                t += draw_switch[i]()
+                t += switch()
             events += n
             if events > budget:
                 raise NumericalBudget(

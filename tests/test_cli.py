@@ -570,6 +570,29 @@ def test_sweep_preset_adds_simulation_rows(capsys, tmp_path):
         assert ci and math.isfinite(float(ci))
 
 
+def test_sweep_writes_its_whole_text_or_nothing(capsys, tmp_path):
+    # The text ends in one newline, whether printed or written to --out.
+    # A budget that ends the run at rho 0.9, after two loads are done,
+    # leaves no file behind.
+    out_path = tmp_path / "sweep.csv"
+    argv = [
+        "sweep", "--preset", "three-queue", "--rho-grid", "0.3:0.9:0.3",
+        "--with-sim", "--sim-cycles", "1000", "--sim-reps", "1",
+    ]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    assert len(out.split("\n")) == 1 + 3 * 3 * 2 + 1
+    assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+    assert out_path.read_text() == out
+    out_path.unlink()
+    code, out, err = run(
+        capsys, *argv, "--max-events", "20000", "--out", str(out_path)
+    )
+    assert (code, out, out_path.exists()) == (3, "", False)
+    assert "over the budget of 20000" in err
+
+
 def _outcome(capsys, argv):
     """Exit code and stdout of `main(argv)`, argparse's exits included."""
     try:

@@ -20,6 +20,8 @@ from pollwait import (
     mean_wait,
     simulate,
 )
+from pollwait import sim
+from pollwait.fitting import sample_array
 
 from _reference_sim import simulate as reference_simulate
 
@@ -195,6 +197,24 @@ def test_frozen_seed_values(discipline, waits, half_widths):
     assert repr(estimate.ci_half_width) == half_widths
 
 
+def test_every_chunk_goes_through_the_module_sample_array(monkeypatch):
+    # bench/tracer.py counts variate chunks by wrapping
+    # pollwait.sim.sample_array, so the simulator must look the name up
+    # when it draws a chunk, not hold on to the function it imported.
+    unwrapped = simulate(two_queue_spec(), SHORT)
+    sizes = []
+
+    def counting(dist, rng, size):
+        sizes.append(size)
+        return sample_array(dist, rng, size)
+
+    monkeypatch.setattr("pollwait.sim.sample_array", counting)
+    # Five random streams (queue 1's switch-over is deterministic), one
+    # chunk each, in each of two replications.
+    assert simulate(two_queue_spec(), SHORT) == unwrapped
+    assert sizes == [sim._CHUNK] * 10
+
+
 def all_kinds_spec(discipline, rho):
     # Every law kind appears: deterministic, exponential, hyperexponential
     # and mixed-Erlang, with a deterministic switch-over after queue 1 and
@@ -238,6 +258,27 @@ def deterministic_spec(discipline, rho):
     return SystemSpec(queues=(queue, queue), discipline=discipline, rho=rho)
 
 
+def single_queue_spec(discipline, rho):
+    # One queue: every visit is followed by the same switch-over, so the
+    # cycle is a single visit.
+    queue = QueueSpec(1.0, 2.0, 1.0, 0.5, 0.5, 1.0)
+    return SystemSpec(queues=(queue,), discipline=discipline, rho=rho)
+
+
+def five_queue_spec(discipline, rho):
+    # Five queues mixing the four law kinds in every role, with a
+    # deterministic switch-over after queue 1 and a zero-mean one after
+    # queue 2.
+    queues = (
+        QueueSpec(1.0, 0.0, 4.0, 1.0, 0.2, 2.0),
+        QueueSpec(0.5, 2.0, 2.5, 0.5, 0.1, 0.0),
+        QueueSpec(0.8, 0.5, 4.0, 3.0, 0.0, 0.0),
+        QueueSpec(0.25, 1.0, 1.25, 0.0, 0.3, 0.25),
+        QueueSpec(0.6, 1.0, 4.0, 2.0, 0.15, 1.0),
+    )
+    return SystemSpec(queues=queues, discipline=discipline, rho=rho)
+
+
 EDGE_CONFIGS = {
     "no-warmup": SimConfig(
         warmup_cycles=0, measured_cycles=2_000, replications=2, base_seed=5,
@@ -257,14 +298,18 @@ EDGE_CONFIGS = {
 @pytest.mark.parametrize(
     "build, rho, cfg",
     [(all_kinds_spec, 0.5, cfg) for cfg in EDGE_CONFIGS.values()]
-    + [(deterministic_spec, rho, SHORT) for rho in (0.25, 0.5, 0.75)],
-    ids=[*EDGE_CONFIGS, "ties-0.25", "ties-0.5", "ties-0.75"],
+    + [(deterministic_spec, rho, SHORT) for rho in (0.25, 0.5, 0.75)]
+    + [(single_queue_spec, 0.6, SHORT), (five_queue_spec, 0.4, SHORT)],
+    ids=[
+        *EDGE_CONFIGS, "ties-0.25", "ties-0.5", "ties-0.75",
+        "one-queue", "five-queues",
+    ],
 )
 @pytest.mark.parametrize("discipline", [EXH, GAT], ids=["exhaustive", "gated"])
 def test_loop_edges_match_reference(discipline, build, rho, cfg):
     # Run lengths that split unevenly into batches or skip the warm-up,
-    # and arrivals that tie with a visit's start, give the same numbers
-    # as the per-customer reference.
+    # arrivals that tie with a visit's start, and cycles of one and of
+    # five queues give the same numbers as the per-customer reference.
     spec = build(discipline, rho)
     estimate = simulate(spec, cfg)
     reference = reference_simulate(spec, cfg)
