@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulator."""
 
 import dataclasses
+import json
 import math
 import subprocess
 import sys
@@ -171,30 +172,37 @@ def test_budget_equal_to_the_total_passes():
 
 
 @pytest.mark.parametrize(
-    "discipline, waits, half_widths",
+    "discipline, waits, half_widths, scipy_half_widths",
     [
         (
             EXH,
             "(1.8130972825297367, 2.316670673645339)",
-            "(0.20837020237089865, 0.5604755502787896)",
+            "(0.20837020237089848, 0.560475550278789)",
+            (0.20837020237089865, 0.5604755502787896),
         ),
         (
             GAT,
             "(2.84859072659444, 2.018117004191158)",
-            "(0.38857347284485844, 0.3281944728754261)",
+            "(0.38857347284485805, 0.3281944728754258)",
+            (0.38857347284485844, 0.3281944728754261),
         ),
     ],
     ids=["exhaustive", "gated"],
 )
-def test_frozen_seed_values(discipline, waits, half_widths):
+def test_frozen_seed_values(discipline, waits, half_widths, scipy_half_widths):
     # Exact values at a fixed seed: any change in how the service loop or
     # the variate streams consume the substreams shows here.  Queue 1 has
-    # deterministic switch-overs, so both stream kinds are covered.
+    # deterministic switch-overs, so both stream kinds are covered.  The
+    # half-widths (df 19) once took their quantile from scipy's stdtrit;
+    # the in-house quantile keeps them within 1e-13 of those values.
     estimate = simulate(two_queue_spec(discipline), SHORT)
     assert estimate.samples_per_queue == (1956, 1486)
     assert estimate.total_events == 14279
     assert repr(estimate.mean_wait) == waits
     assert repr(estimate.ci_half_width) == half_widths
+    assert estimate.ci_half_width == pytest.approx(
+        scipy_half_widths, rel=1e-13, abs=0.0
+    )
 
 
 def test_every_chunk_goes_through_the_module_sample_array(monkeypatch):
@@ -556,8 +564,8 @@ def test_single_replication_load_interval_is_nan():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # The t quantile comes from scipy.special; scipy.stats alone would
-    # add most of the package's import time and memory.
+    # The t quantile is computed in pure Python (sim._t975); scipy.stats
+    # alone would add most of the package's import time and memory.
     code = "import sys, pollwait; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -601,3 +609,51 @@ print(len(json.loads(sim)["mean_wait"]))
         timeout=120,
     ).stdout
     assert out.split() == ["[]", "3"]
+
+
+def test_simulating_commands_leave_scipy_unloaded(tmp_path):
+    # The t quantile of the confidence intervals comes from sim._t975, so
+    # simulating, sweeping with simulation and the test bed load numpy
+    # but no part of scipy.
+    code = """
+import contextlib, io, json, sys
+from pollwait import cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+run(["simulate", "--preset", "three-queue", "--cycles", "2000",
+     "--warmup", "200", "--reps", "2", "--batches", "10"])
+run(["sweep", "--preset", "three-queue", "--rho-grid", "0.3:0.6:0.3",
+     "--with-sim", "--sim-cycles", "2000", "--sim-reps", "2"])
+run(["testbed", "--discipline", "gated", "--out", sys.argv[1],
+     "--jobs", "1", "--target-samples", "200", "--reps", "2"])
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+print(json.dumps(["numpy" in sys.modules, loaded]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "bed")],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    ).stdout
+    assert json.loads(out) == [True, []]
+    assert (tmp_path / "bed" / "raw_records.csv").exists()
+
+
+def test_t_quantile_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    dfs = list(range(1, 5001)) + [round(10 ** (k / 8)) for k in range(30, 73)]
+    want = special.stdtrit(np.array(dfs, dtype=float), 0.975)
+    got = [sim._t975(df) for df in dfs]
+    off = [
+        (df, g, float(w))
+        for df, g, w in zip(dfs, got, want)
+        if not abs(g - w) <= 1e-13 * w
+    ]
+    assert off == []
+    # The quantile falls with df towards the normal quantile.
+    assert all(a > b for a, b in zip(got, got[1:]))
+    assert 0.0 < got[-1] - 1.959963984540054 < 1e-8
