@@ -16,7 +16,10 @@ it is written for throughput and determinism rather than generality:
 * Variates come from per-queue, per-purpose substreams spawned from a
   single seed, so results are reproducible and replications independent.
   Each substream is a C-level iterator: ``itertools.repeat`` for a
-  deterministic law, otherwise chained chunks of ``sample_array``.
+  deterministic law, otherwise chained chunks of ``sample_array``.  A
+  chunk is read through a memoryview, so a Python float exists only once
+  the loop draws it, and a replication holds 3N buffers of ``_CHUNK``
+  doubles.
 * The event budget counts services and switch-overs.  It is checked once
   per cycle, so a run raises within one cycle of exceeding it.
 * Statistics are collected per cycle after a warm-up period.  The cycles
@@ -125,11 +128,13 @@ class SimEstimate:
 def _stream(dist: FittedDistribution, rng: np.random.Generator) -> Iterator[float]:
     if dist.kind is DistKind.DETERMINISTIC:
         return itertools.repeat(dist.mean)
-    # tolist() yields Python floats, which are cheaper to consume in the
-    # visit loop than numpy scalars.  sample_array is looked up here on
-    # every chunk, so a wrapper installed on this module sees each draw.
+    # A memoryview of the float64 chunk yields Python floats, cheaper in
+    # the visit loop than numpy scalars, and makes each only when it is
+    # drawn.  sample_array is looked up here on every chunk, so a wrapper
+    # installed on this module sees each draw.
     return itertools.chain.from_iterable(
-        sample_array(dist, rng, _CHUNK).tolist() for _ in itertools.repeat(None)
+        memoryview(sample_array(dist, rng, _CHUNK))
+        for _ in itertools.repeat(None)
     )
 
 

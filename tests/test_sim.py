@@ -1,10 +1,12 @@
 """Tests for the discrete-event simulator."""
 
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from pollwait import (
     simulate,
 )
 from pollwait import sim
-from pollwait.fitting import sample_array
+from pollwait.fitting import DistKind, fit_two_moments, sample_array
 
 from _reference_sim import simulate as reference_simulate
 
@@ -221,6 +223,60 @@ def test_every_chunk_goes_through_the_module_sample_array(monkeypatch):
     # chunk each, in each of two replications.
     assert simulate(two_queue_spec(), SHORT) == unwrapped
     assert sizes == [sim._CHUNK] * 10
+
+
+@pytest.mark.parametrize(
+    "scv, kind",
+    [
+        (0.0, DistKind.DETERMINISTIC),
+        (1.0, DistKind.EXPONENTIAL),
+        (4.0, DistKind.HYPEREXPONENTIAL),
+        (0.3, DistKind.MIXED_ERLANG),
+    ],
+    ids=["deterministic", "exponential", "hyperexponential", "mixed-erlang"],
+)
+def test_stream_yields_the_chunks_as_floats(scv, kind):
+    # A substream is the concatenation of consecutive sample_array chunks
+    # of its generator, read as Python floats (not numpy scalars, which
+    # compare equal but are slower in the visit loop), across a refill.
+    dist = fit_two_moments(1.5, scv)
+    taken = 2 * sim._CHUNK + 7
+    got = list(
+        itertools.islice(sim._stream(dist, np.random.default_rng(5)), taken)
+    )
+    rng = np.random.default_rng(5)
+    chunks = [sample_array(dist, rng, sim._CHUNK) for _ in range(3)]
+    assert dist.kind is kind
+    assert {type(v) for v in got} == {float}
+    assert got == np.concatenate(chunks)[:taken].tolist()
+
+
+def test_simulation_holds_buffers_not_float_lists():
+    # A replication of N queues keeps 3N substreams, each one chunk of
+    # _CHUNK doubles (64 KiB).  Holding each chunk as a list of float
+    # objects instead takes about four times that.  The first run pays
+    # for imports and caches, so the second is measured.
+    spec = SystemSpec(
+        queues=tuple(
+            QueueSpec(
+                1.0, 0.5 + q, 5.0, 1.0, 0.2, 2.0, DensityMode.EXACT_EXPONENTIAL
+            )
+            for q in range(5)
+        ),
+        discipline=EXH,
+        rho=0.5,
+    )
+    cfg = SimConfig(
+        warmup_cycles=100, measured_cycles=1_000, replications=2, batch_count=10
+    )
+    simulate(spec, cfg)
+    tracemalloc.start()
+    try:
+        simulate(spec, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 3 * spec.n * sim._CHUNK * 8
 
 
 def all_kinds_spec(discipline, rho):
