@@ -49,6 +49,7 @@ from .model import (
 )
 from .sim import SimConfig, simulate
 from .testbed import (
+    _run_settings,
     high_variation_poisson_bed,
     poisson_bed,
     run_comparison,
@@ -395,13 +396,15 @@ _SUBSETS = {
 
 
 def _cmd_testbed(args) -> int:
-    # Fail on an unusable output directory before burning simulation time.
+    # Reject the settings, then an unusable output directory, before
+    # creating anything or burning simulation time.
+    methods = _parse_methods(args.methods)
+    _run_settings(methods, args.seed, args.jobs, args.target_samples, args.reps)
     os.makedirs(args.out, exist_ok=True)
     with tempfile.NamedTemporaryFile(dir=args.out, prefix=".probe"):
         pass
 
     cases = _SUBSETS[args.subset]()
-    methods = _parse_methods(args.methods)
     discipline = Discipline(args.discipline)
     report = run_comparison(
         cases,

@@ -22,10 +22,11 @@ it is written for throughput and determinism rather than generality:
   doubles.
 * The event budget counts services and switch-overs.  It is checked once
   per cycle, so a run raises within one cycle of exceeding it.
-* Statistics are collected per cycle after a warm-up period.  The cycles
-  run as contiguous segments: the warm-up, which records into an extra
-  batch slot dropped before pooling, then one segment per batch.
-  Confidence intervals use these batch means, pooled over replications.
+* The cycles run as contiguous segments: the warm-up, then one per
+  batch.  Each segment records its own per-queue wait sums and counts.
+  A replication returns its batches' records, not the warm-up's, and
+  ``simulate`` folds them: confidence intervals use the batch means,
+  pooled over replications.
 * Queue lengths and the realized load come from the measured waits plus
   each queue's busy time, added once per visit that serves: a queue's
   summed sojourn time is its summed waits plus its busy time.
@@ -45,6 +46,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -109,7 +111,8 @@ class SimEstimate:
     """Pooled simulation estimates.
 
     ``ci_half_width`` are 95% half-widths from batch means; a queue that
-    recorded no waits reports ``nan`` mean and ``inf`` half-width.
+    recorded no waits reports ``nan`` mean and ``inf`` half-width, and
+    one whose waits all fall in one batch a finite mean and ``inf``.
     ``realized_load`` is the measured fraction of time spent serving, with
     its own half-width across replications (``nan`` for one replication).
     """
@@ -179,30 +182,26 @@ def _run_replication(
     # Built once: each visit takes its index and switch-over draw in one step.
     visits = tuple(enumerate(draw_switch))
 
-    warmup = cfg.warmup_cycles
-    measured = cfg.measured_cycles
-    batches = cfg.batch_count
     gated = spec.discipline is Discipline.GATED
-
-    wait_sums = [[0.0] * (batches + 1) for _ in range(n)]
-    wait_counts = [[0] * (batches + 1) for _ in range(n)]
-    busy = [0.0] * n
-    events = 0
+    measured = cfg.measured_cycles
+    batch_count = cfg.batch_count
+    # Measured cycle c falls in batch c * batch_count // measured, so batch
+    # b starts at cycle ceil(b * measured / batch_count).  The warm-up runs
+    # first as a segment of its own, then each batch.
+    starts = [-(-b * measured // batch_count) for b in range(batch_count + 1)]
+    lengths = [cfg.warmup_cycles] + [b - a for a, b in zip(starts, starts[1:])]
 
     t = 0.0
     next_arrival = [draw_arrival[i]() for i in range(n)]
-    # Measured cycle c records into batch c * batches // measured, so
-    # batch b starts at cycle ceil(b * measured / batches).  Warm-up
-    # cycles record into the extra slot `batches`.
-    starts = [-(-b * measured // batches) for b in range(batches + 1)]
-    segments = [(batches, warmup)] + [
-        (b, starts[b + 1] - starts[b]) for b in range(batches)
-    ]
-
-    for slot, cycles in segments:
-        if slot == 0:
+    records = []
+    busy = [0.0] * n
+    events = 0
+    for cycles in lengths:
+        if len(records) == 1:  # measurement starts after the warm-up
             t_measure_begin = t
             busy = [0.0] * n
+        sums = [0.0] * n
+        counts = [0] * n
         for _ in itertools.repeat(None, cycles):
             for i, switch in visits:
                 # An empty visit is only its switch-over.  An arrival at
@@ -213,15 +212,15 @@ def _run_replication(
                     next_sv = draw_service[i]
                     gate = t if gated else math.inf
                     start = t
-                    waited = wait_sums[i][slot]
+                    waited = sums[i]
                     served = 0
                     while arrive <= t and arrive < gate:
                         waited += t - arrive
                         served += 1
                         t += next_sv()
                         arrive += next_ia()
-                    wait_sums[i][slot] = waited
-                    wait_counts[i][slot] += served
+                    sums[i] = waited
+                    counts[i] += served
                     events += served
                     next_arrival[i] = arrive
                     busy[i] += t - start
@@ -232,11 +231,11 @@ def _run_replication(
                     f"event budget of {budget} exhausted; raise "
                     "max_events or shorten the run"
                 )
+        records.append((sums, counts))
 
-    # Drop the warm-up slot.
-    wait_sums = [row[:batches] for row in wait_sums]
-    wait_counts = [row[:batches] for row in wait_counts]
-    return wait_sums, wait_counts, busy, t - t_measure_begin, events
+    # The warm-up's record is dropped; busy and the span run from the
+    # start of measurement.
+    return records[1:], busy, t - t_measure_begin, events
 
 
 def _customers_per_cycle(spec: SystemSpec) -> float:
@@ -372,63 +371,40 @@ def simulate(
     from numpy.random import SeedSequence
 
     laws = _fit_laws(spec)
-    seeds = SeedSequence(cfg.base_seed).spawn(cfg.replications)
-    n = spec.n
+    runs = []
+    for seed in SeedSequence(cfg.base_seed).spawn(cfg.replications):
+        spent = sum(events for *_, events in runs)
+        runs.append(_run_replication(spec, laws, cfg, seed, cfg.max_events - spent))
 
-    all_batch_means: list[list[float]] = [[] for _ in range(n)]
-    wait_total = [0.0] * n
-    count_total = [0] * n
-    busy_total = [0.0] * n
-    busy_values = []
-    span_values = []
-    events_used = 0
-
-    for seed in seeds:
-        wait_sums, wait_counts, busy, span, events = _run_replication(
-            spec, laws, cfg, seed, cfg.max_events - events_used
-        )
-        events_used += events
-        for i in range(n):
-            for b in range(cfg.batch_count):
-                c = wait_counts[i][b]
-                if c > 0:
-                    all_batch_means[i].append(wait_sums[i][b] / c)
-            wait_total[i] += sum(wait_sums[i])
-            count_total[i] += sum(wait_counts[i])
-            busy_total[i] += busy[i]
-        busy_values.append(sum(busy))
-        span_values.append(span)
-
-    mean_wait = []
-    half_widths = []
-    for i in range(n):
-        if count_total[i] == 0:
-            mean_wait.append(math.nan)
-            half_widths.append(math.inf)
-            continue
-        mean_wait.append(wait_total[i] / count_total[i])
-        means = all_batch_means[i]
-        half_widths.append(_half_width(means) if len(means) >= 2 else math.inf)
-
-    total_span = sum(span_values)
-    queue_lengths = tuple(
-        (w + b) / total_span for w, b in zip(wait_total, busy_total)
-    )
-    realized_load = sum(busy_values) / total_span
-    if cfg.replications >= 2:
-        per_rep = [b / s for b, s in zip(busy_values, span_values)]
-        load_half_width = _half_width(per_rep)
-    else:
-        load_half_width = math.nan
+    records, busy_runs, spans, events = zip(*runs)
+    queues = range(spec.n)
+    counts = [sum(c[i] for run in records for _, c in run) for i in queues]
+    # A replication's batches are summed first, then the replications by
+    # repeated addition: from Python 3.12 a float sum() compensates
+    # rounding, which would change the bits.
+    add = functools.partial(functools.reduce, operator.add)
+    waits = [add((sum(s[i] for s, _ in run) for run in records), 0.0) for i in queues]
+    busy = [add((b[i] for b in busy_runs), 0.0) for i in queues]
+    # Only batches that recorded waits have a mean.
+    batch_means = [
+        [s[i] / c[i] for run in records for s, c in run if c[i]] for i in queues
+    ]
+    total_span = sum(spans)
+    loads = [sum(b) / s for b, s in zip(busy_runs, spans)]
 
     return SimEstimate(
-        mean_wait=tuple(mean_wait),
-        ci_half_width=tuple(half_widths),
-        mean_queue_length=queue_lengths,
-        realized_load=realized_load,
-        realized_load_ci_half_width=load_half_width,
-        samples=sum(count_total),
-        samples_per_queue=tuple(count_total),
+        mean_wait=tuple(w / c if c else math.nan for w, c in zip(waits, counts)),
+        ci_half_width=tuple(
+            _half_width(means) if len(means) >= 2 else math.inf
+            for means in batch_means
+        ),
+        mean_queue_length=tuple((w + b) / total_span for w, b in zip(waits, busy)),
+        realized_load=sum(sum(b) for b in busy_runs) / total_span,
+        realized_load_ci_half_width=(
+            _half_width(loads) if len(loads) >= 2 else math.nan
+        ),
+        samples=sum(counts),
+        samples_per_queue=tuple(counts),
         replications=cfg.replications,
-        total_events=events_used,
+        total_events=sum(events),
     )

@@ -403,6 +403,29 @@ def _run_case(
     return records
 
 
+def _run_settings(methods, base_seed, jobs, target_customers, replications):
+    """Check `run_comparison`'s run settings and return them as it uses them."""
+    methods = tuple(methods)
+    if len(set(methods)) < len(methods):
+        raise InvalidInput(
+            f"methods must not repeat, got {[m.value for m in methods]}"
+        )
+    replications = _integer(replications, "replications")
+    target_customers = _integer(target_customers, "target_customers")
+    base_seed = _integer(base_seed, "base_seed")
+    if replications < 1 or target_customers < 1:
+        raise InvalidInput(
+            "replications and target samples must be >= 1, got "
+            f"{replications} and {target_customers}"
+        )
+    if base_seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {base_seed}")
+    jobs = (os.cpu_count() or 1) if jobs is None else _integer(jobs, "jobs")
+    if jobs < 1:
+        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
+    return methods, base_seed, jobs, target_customers, replications
+
+
 def run_comparison(
     cases: Sequence[TestBedCase],
     methods: Sequence[Method],
@@ -439,24 +462,9 @@ def run_comparison(
     -------
     ErrorReport
     """
-    methods = tuple(methods)
-    if len(set(methods)) < len(methods):
-        raise InvalidInput(
-            f"methods must not repeat, got {[m.value for m in methods]}"
-        )
-    replications = _integer(replications, "replications")
-    target_customers = _integer(target_customers, "target_customers")
-    base_seed = _integer(base_seed, "base_seed")
-    if replications < 1 or target_customers < 1:
-        raise InvalidInput(
-            "replications and target samples must be >= 1, got "
-            f"{replications} and {target_customers}"
-        )
-    if base_seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {base_seed}")
-    jobs = (os.cpu_count() or 1) if jobs is None else _integer(jobs, "jobs")
-    if jobs < 1:
-        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
+    methods, base_seed, jobs, target_customers, replications = _run_settings(
+        methods, base_seed, jobs, target_customers, replications
+    )
     run_case = functools.partial(
         _run_case,
         discipline,

@@ -891,7 +891,24 @@ def test_testbed_rejects_empty_run_sizes(capsys, tmp_path, option, value):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert not any(out_dir.iterdir())
+    assert not out_dir.exists()
+
+
+def test_testbed_rejects_settings_before_creating_nested_out(capsys, tmp_path):
+    code, out, err = run(
+        capsys,
+        "testbed",
+        "--discipline",
+        "exhaustive",
+        "--out",
+        str(tmp_path / "bed" / "sub"),
+        "--methods",
+        "bogus",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bogus" in err
+    assert not (tmp_path / "bed").exists()
 
 
 def test_testbed_sampled_run(capsys, tmp_path):

@@ -603,6 +603,21 @@ def test_unvisited_queue_reports_nan():
     assert estimate.samples_per_queue[0] > 0
 
 
+def test_queue_seen_in_one_batch_reports_mean_without_interval():
+    # The second queue's one customer makes one batch mean: the mean wait
+    # is finite, but one batch mean gives no interval.
+    queues = (
+        QueueSpec(1.0, 1.0, 1.0 / (1.0 - 1e-4), 1.0, 1.0, 1.0, DensityMode.EXACT),
+        QueueSpec(1.0, 1.0, 1e4, 1.0, 0.5, 0.0, DensityMode.EXACT),
+    )
+    spec = SystemSpec(queues=queues, discipline=EXH, rho=0.5)
+    estimate = simulate(spec, SimConfig(50, 1_000, 1, 43, 10))
+    assert estimate.samples_per_queue == (1679, 1)
+    assert math.isfinite(estimate.mean_wait[1]) and estimate.mean_wait[1] > 0
+    assert math.isinf(estimate.ci_half_width[1])
+    assert math.isfinite(estimate.ci_half_width[0])
+
+
 def test_single_replication_load_interval_is_nan():
     estimate = simulate(
         vacation_spec(EXH, rho=0.4),
