@@ -31,6 +31,7 @@ from .model import (
     Discipline,
     QueueSpec,
     SystemSpec,
+    _choice,
     derive_moments,
 )
 
@@ -278,8 +279,8 @@ def mean_wait(spec: SystemSpec, method: Method) -> WaitingTimeResult:
     ----------
     spec : SystemSpec
         System description; its ``rho`` selects the load point.
-    method : Method
-        The estimator; ``Method.INTERPOLATION`` is the recommended one.
+    method : Method or str
+        The estimator or its value; ``Method.INTERPOLATION`` is recommended.
 
     Returns
     -------
@@ -287,6 +288,8 @@ def mean_wait(spec: SystemSpec, method: Method) -> WaitingTimeResult:
         Per-queue means, queue lengths and heavy-traffic delays, plus the
         interpolation constants when `method` is the interpolation.
     """
+    if not isinstance(method, Method):  # its string value, or no method
+        method = _choice(Method, method, "method")
     return _system(spec).result(method, spec.rho)
 
 

@@ -399,17 +399,18 @@ def _cmd_testbed(args) -> int:
     # Reject the settings, then an unusable output directory, before
     # creating anything or burning simulation time.
     methods = _parse_methods(args.methods)
-    _run_settings(methods, args.seed, args.jobs, args.target_samples, args.reps)
+    _run_settings(
+        args.discipline, methods, args.seed, args.jobs, args.target_samples, args.reps
+    )
     os.makedirs(args.out, exist_ok=True)
     with tempfile.NamedTemporaryFile(dir=args.out, prefix=".probe"):
         pass
 
     cases = _SUBSETS[args.subset]()
-    discipline = Discipline(args.discipline)
     report = run_comparison(
         cases,
         methods,
-        discipline,
+        args.discipline,
         base_seed=args.seed,
         jobs=args.jobs,
         target_customers=args.target_samples,

@@ -42,7 +42,6 @@ __all__ = [
     "DistKind",
     "FittedDistribution",
     "fit_two_moments",
-    "density_at_zero",
     "density_at_zero_two_moment_approx",
     "sample_array",
 ]
@@ -156,10 +155,10 @@ def _h2_normalized_density(scv: float) -> float:
 
 
 def _fitted_density_at_zero(scv: float) -> float:
-    """``density_at_zero(fit_two_moments(mean, scv))`` for any mean.
-
-    The value is scale free, so it is computed from the fittable `scv`
-    without building the law.
+    """``mean * g(0)``, the normalized density at zero, of the law that
+    `fit_two_moments` fits to `scv`.  It is scale free, so it is computed
+    from the scv alone, without building the law; laws with no density
+    near zero give 0, and the exponential gives 1.
     """
     if scv == 0.0:
         return 0.0
@@ -177,17 +176,6 @@ def _fitted_density_at_zero(scv: float) -> float:
         # negative value just below a 1/k boundary; clamp.
         return max(0.0, prob * (2.0 - prob))
     return 0.0
-
-
-def density_at_zero(dist: FittedDistribution) -> float:
-    """Normalized density of `dist` at zero, i.e. ``mean * g(0)``.
-
-    The product is scale free, so the result depends only on the scv of the
-    fitted law.  Laws without mass or density near zero (deterministic,
-    Erlang mixtures with at least two stages in both branches) give 0; the
-    exponential gives 1.
-    """
-    return _fitted_density_at_zero(dist.scv)
 
 
 def density_at_zero_two_moment_approx(scv: float) -> float:

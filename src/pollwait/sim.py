@@ -18,8 +18,8 @@ it is written for throughput and determinism rather than generality:
   Each substream is a C-level iterator: ``itertools.repeat`` for a
   deterministic law, otherwise chained chunks of ``sample_array``.  A
   chunk is read through a memoryview, so a Python float exists only once
-  the loop draws it, and a replication holds 3N buffers of ``_CHUNK``
-  doubles.
+  the loop draws it, and a replication holds at most 3N buffers of
+  ``_CHUNK`` doubles: a deterministic law holds none.
 * The event budget counts services and switch-overs.  It is checked once
   per cycle, so a run raises within one cycle of exceeding it.
 * The cycles run as contiguous segments: the warm-up, then one per

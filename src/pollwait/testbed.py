@@ -37,6 +37,7 @@ from .model import (
     Discipline,
     QueueSpec,
     SystemSpec,
+    _choice,
     _integer,
     _number,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "is_exact_case",
     "run_comparison",
     "report_tables",
+    "summary_lines",
     "write_report_files",
     "report_to_csv",
     "report_from_csv",
@@ -403,9 +405,10 @@ def _run_case(
     return records
 
 
-def _run_settings(methods, base_seed, jobs, target_customers, replications):
+def _run_settings(discipline, methods, base_seed, jobs, target_customers, replications):
     """Check `run_comparison`'s run settings and return them as it uses them."""
-    methods = tuple(methods)
+    discipline = _choice(Discipline, discipline, "discipline")
+    methods = tuple(_choice(Method, m, "method") for m in methods)
     if len(set(methods)) < len(methods):
         raise InvalidInput(
             f"methods must not repeat, got {[m.value for m in methods]}"
@@ -423,7 +426,7 @@ def _run_settings(methods, base_seed, jobs, target_customers, replications):
     jobs = (os.cpu_count() or 1) if jobs is None else _integer(jobs, "jobs")
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
-    return methods, base_seed, jobs, target_customers, replications
+    return discipline, methods, base_seed, jobs, target_customers, replications
 
 
 def run_comparison(
@@ -443,7 +446,8 @@ def run_comparison(
     ----------
     cases, methods, discipline
         What to run.  Case order defines ``case_index`` in the records;
-        no method may appear twice.
+        no method may appear twice.  A method or the discipline may be
+        given as its string value.
     cfg : SimConfig, optional
         Fixed run lengths for every case, which then ignore
         `target_customers` and `replications`.  By default each case is
@@ -462,9 +466,10 @@ def run_comparison(
     -------
     ErrorReport
     """
-    methods, base_seed, jobs, target_customers, replications = _run_settings(
-        methods, base_seed, jobs, target_customers, replications
+    settings = _run_settings(
+        discipline, methods, base_seed, jobs, target_customers, replications
     )
+    discipline, methods, base_seed, jobs, target_customers, replications = settings
     run_case = functools.partial(
         _run_case,
         discipline,
@@ -501,6 +506,7 @@ def report_tables(report: ErrorReport, method: Method) -> dict[str, _Table]:
     each value of the facet, ``nan`` where no case has it.  Rows are queue
     counts and columns facet values, both in numeric order.
     """
+    method = _choice(Method, method, "method")
     binned = _abs_errors(report, method)
     shares = {n: _bin_shares(row[None]) for n, row in binned.items()}
     tables = {"errors_binned": (list(_BIN_LABELS), shares, 8)}

@@ -20,7 +20,6 @@ from pollwait import (
     QueueSpec,
     SystemSpec,
     TestBedCase,
-    density_at_zero,
     density_at_zero_two_moment_approx,
     derive_moments,
     fit_two_moments,
@@ -35,7 +34,12 @@ from pollwait import (
 from pollwait.sim import SimConfig, simulate
 from pollwait.testbed import is_exact_case, run_comparison
 
-from _helpers import mean_abs_error, preset_spec, realized_moments
+from _helpers import (
+    law_density_at_zero,
+    mean_abs_error,
+    preset_spec,
+    realized_moments,
+)
 
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
@@ -406,7 +410,9 @@ def test_criterion_8_distribution_fitting():
         }
         for scv, expected in fitted.items():
             assert math.isclose(
-                density_at_zero(fit_two_moments(1.0, scv)), expected, abs_tol=1e-12
+                law_density_at_zero(fit_two_moments(1.0, scv)),
+                expected,
+                abs_tol=1e-12,
             )
         rule = {
             0.25: 0.25**4,
@@ -420,6 +426,6 @@ def test_criterion_8_distribution_fitting():
                 density_at_zero_two_moment_approx(scv), expected, rel_tol=1e-12
             )
         for scv in (1.0, 1.3, 2.0, 3.0, 7.5):
-            assert density_at_zero_two_moment_approx(scv) == density_at_zero(
+            assert density_at_zero_two_moment_approx(scv) == law_density_at_zero(
                 fit_two_moments(1.0, scv)
             )

@@ -8,6 +8,7 @@ the conservation law, the large switch-over limit).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from pollwait import (
     DensityMode,
     Discipline,
+    InvalidInput,
     Method,
     QueueSpec,
     SimConfig,
@@ -274,6 +276,23 @@ def test_symmetric_poisson_closed_form():
                     assert abs(c.k2) <= 1e-10 * max(1.0, abs(c.k0) + abs(c.k1))
                 lt = mean_wait(spec, Method.LT_ONLY)
                 np.testing.assert_allclose(lt.mean_wait, result.mean_wait, rtol=1e-9)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_mean_wait_takes_a_method_or_its_value(method):
+    spec = three_queue_mixed(GAT, rho=0.6)
+    result = mean_wait(spec, method.value)
+    assert result.method is method
+    assert result == mean_wait(spec, method)
+
+
+@pytest.mark.parametrize(
+    "method", ["bogus", None, ["interpolation"]], ids=["str", "none", "list"]
+)
+def test_mean_wait_rejects_what_is_not_a_method(method):
+    message = f"method must be one of .* got {re.escape(repr(method))}"
+    with pytest.raises(InvalidInput, match=message):
+        mean_wait(three_queue_mixed(), method)
 
 
 def test_lt_only_drops_the_quadratic_term():

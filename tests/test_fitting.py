@@ -8,9 +8,7 @@ import pytest
 
 from pollwait import (
     DistKind,
-    FittedDistribution,
     InvalidInput,
-    density_at_zero,
     density_at_zero_two_moment_approx,
     fit_two_moments,
     sample_array,
@@ -86,22 +84,18 @@ def test_branch_boundary_is_continuous():
         got_mean, got_scv = realized_moments(dist)
         assert math.isclose(got_mean, 1.0, rel_tol=1e-10)
         assert math.isclose(got_scv, scv, rel_tol=1e-9, abs_tol=1e-9)
-    assert density_at_zero(sliver) == 0.0
+    assert _fitted_density_at_zero(0.5 - 1e-12) == 0.0
 
 
 def test_density_at_zero_fitted_values():
     # scv 0.25 and 0.5 fit to Erlang mixtures with >= 2 stages in every
     # branch, so no mass arrives immediately.
-    assert density_at_zero(fit_two_moments(1.0, 0.25)) == 0.0
-    assert density_at_zero(fit_two_moments(1.0, 0.5)) == 0.0
-    assert density_at_zero(fit_two_moments(1.0, 1.0)) == 1.0
-    assert math.isclose(
-        density_at_zero(fit_two_moments(1.0, 2.0)), 4.0 / 3.0, rel_tol=1e-12
-    )
-    assert math.isclose(
-        density_at_zero(fit_two_moments(1.0, 3.0)), 1.5, rel_tol=1e-12
-    )
-    assert density_at_zero(fit_two_moments(1.0, 0.0)) == 0.0
+    assert _fitted_density_at_zero(0.25) == 0.0
+    assert _fitted_density_at_zero(0.5) == 0.0
+    assert _fitted_density_at_zero(1.0) == 1.0
+    assert math.isclose(_fitted_density_at_zero(2.0), 4.0 / 3.0, rel_tol=1e-12)
+    assert math.isclose(_fitted_density_at_zero(3.0), 1.5, rel_tol=1e-12)
+    assert _fitted_density_at_zero(0.0) == 0.0
 
 
 def test_fitted_density_needs_no_fitted_law():
@@ -121,7 +115,6 @@ def test_fitted_density_needs_no_fitted_law():
             dist = fit_two_moments(mean, scv)
             expected = law_density_at_zero(dist)
             assert _fitted_density_at_zero(scv) == expected, (mean, scv)
-            assert density_at_zero(dist) == expected, (mean, scv)
 
 
 def test_density_at_zero_single_stage_branch():
@@ -129,22 +122,8 @@ def test_density_at_zero_single_stage_branch():
     dist = fit_two_moments(1.0, 0.7)
     assert dist.shape == 2
     expected = dist.prob * (2.0 - dist.prob)
-    assert density_at_zero(dist) == expected
+    assert _fitted_density_at_zero(0.7) == expected
     assert 0.0 < expected < 1.0
-
-
-def test_density_handles_degenerate_single_stage_mixture():
-    dist = FittedDistribution(
-        DistKind.MIXED_ERLANG, 1.0, 1.0, prob=0.0, shape=1, rate=1.0
-    )
-    assert density_at_zero(dist) == 1.0
-
-
-def test_density_is_scale_free():
-    for scv in (0.3, 0.7, 1.0, 2.4):
-        d1 = density_at_zero(fit_two_moments(1.0, scv))
-        d2 = density_at_zero(fit_two_moments(123.0, scv))
-        assert d1 == d2
 
 
 def test_two_moment_rule_values():
@@ -162,7 +141,7 @@ def test_rule_agrees_exactly_with_fit_above_one():
     # For scv >= 1 the rule and the fitted hyperexponential are the same
     # closed form, so agreement is float exact.
     for scv in (1.0, 1.2, 2.0, 5.0, 40.0):
-        fitted = density_at_zero(fit_two_moments(0.7, scv))
+        fitted = _fitted_density_at_zero(scv)
         assert fitted == density_at_zero_two_moment_approx(scv)
 
 

@@ -15,7 +15,6 @@ from pollwait import (
     SimConfig,
     SystemSpec,
     TestBedCase,
-    density_at_zero,
     derive_moments,
     fit_two_moments,
     mean_wait,
@@ -25,7 +24,7 @@ from pollwait import (
 )
 from pollwait.testbed import materialize_case
 
-from _helpers import reference_moments
+from _helpers import law_density_at_zero, reference_moments
 
 
 def make_queue(**overrides):
@@ -140,7 +139,7 @@ def test_exact_density_is_the_fitted_law_at_every_scv(scv):
         density_mode=DensityMode.EXACT,
     )
     spec = SystemSpec((queue, queue), Discipline.EXHAUSTIVE, 0.5)
-    expected = density_at_zero(fit_two_moments(2.0, scv))
+    expected = law_density_at_zero(fit_two_moments(2.0, scv))
     assert derive_moments(spec).density_at_zero == (expected, expected)
 
 

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "TestBedCase",
     "WaitingTimeResult",
     "__version__",
-    "density_at_zero",
     "density_at_zero_two_moment_approx",
     "derive_moments",
     "fit_two_moments",
@@ -118,7 +117,8 @@ def test_report_tables_replace_the_table_helpers():
         "run_comparison",
         "sampled_bed",
         "standard_bed",
-            "write_report_files",
+        "summary_lines",
+        "write_report_files",
     ]
 
 
@@ -126,7 +126,6 @@ def test_fitting_exports_what_the_model_and_simulator_use():
     assert sorted(fitting.__all__) == [
         "DistKind",
         "FittedDistribution",
-        "density_at_zero",
         "density_at_zero_two_moment_approx",
         "fit_two_moments",
         "sample_array",

@@ -277,6 +277,45 @@ def test_run_comparison_rejects_non_integer_settings(monkeypatch, setting, value
         run_comparison(SMOKE_CASES[:2], (Method.INTERPOLATION,), EXH, **kwargs)
 
 
+def test_run_comparison_takes_string_values(tmp_path):
+    members = run_comparison(
+        SMOKE_CASES, (Method.INTERPOLATION,), GAT, cfg=SMOKE_CFG, jobs=1
+    )
+    strings = run_comparison(
+        SMOKE_CASES, ["interpolation"], "gated", cfg=SMOKE_CFG, jobs=1
+    )
+    assert strings.discipline is GAT
+    assert strings.methods == (Method.INTERPOLATION,)
+    assert strings.records == members.records
+    written = write_report_files(strings, str(tmp_path / "strings"))
+    expected = write_report_files(members, str(tmp_path / "members"))
+    assert len(written) == len(expected)
+    for path, other in zip(written, expected):
+        with open(path) as got, open(other) as want:
+            assert got.read() == want.read()
+
+
+@pytest.mark.parametrize(
+    "methods, discipline, message",
+    [
+        (["interpolation"], "bogus", "discipline must be one of .* got 'bogus'"),
+        (["bogus"], EXH, "method must be one of .* got 'bogus'"),
+        ([None], EXH, "method must be one of .* got None"),
+        ([Method.INTERPOLATION, "interpolation"], EXH, "methods must not repeat"),
+    ],
+    ids=["discipline", "method", "no-method", "repeat"],
+)
+def test_run_comparison_rejects_bad_choices_before_running(
+    monkeypatch, methods, discipline, message
+):
+    def no_simulation(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(testbed, "_run_case", no_simulation)
+    with pytest.raises(InvalidInput, match=message):
+        run_comparison(SMOKE_CASES[:2], methods, discipline, jobs=1)
+
+
 def synthetic_report(cases_and_errors=None):
     if cases_and_errors is None:
         case = TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -414,6 +453,14 @@ def test_write_report_files(tmp_path):
     lines = summary_lines(report)
     assert lines[0] == "discipline: exhaustive"
     assert any("interpolation" in line for line in lines)
+
+
+def test_report_tables_take_a_method_or_its_value():
+    report = synthetic_report()
+    expected = report_tables(report, Method.INTERPOLATION)
+    assert report_tables(report, "interpolation") == expected
+    with pytest.raises(InvalidInput, match="method must be one of .* got 'bogus'"):
+        report_tables(report, "bogus")
 
 
 def test_render_tables(tmp_path):
