@@ -49,7 +49,6 @@ from .model import (
 )
 from .sim import SimConfig, simulate
 from .testbed import (
-    _run_settings,
     high_variation_poisson_bed,
     poisson_bed,
     run_comparison,
@@ -396,26 +395,22 @@ _SUBSETS = {
 
 
 def _cmd_testbed(args) -> int:
-    # Reject the settings, then an unusable output directory, before
-    # creating anything or burning simulation time.
+    # Reject the settings, by a run of no cases, then an unusable output
+    # directory, before creating anything or burning simulation time.
     methods = _parse_methods(args.methods)
-    _run_settings(
-        args.discipline, methods, args.seed, args.jobs, args.target_samples, args.reps
-    )
-    os.makedirs(args.out, exist_ok=True)
-    with tempfile.NamedTemporaryFile(dir=args.out, prefix=".probe"):
-        pass
-
-    cases = _SUBSETS[args.subset]()
-    report = run_comparison(
-        cases,
-        methods,
-        args.discipline,
+    settings = dict(
         base_seed=args.seed,
         jobs=args.jobs,
         target_customers=args.target_samples,
         replications=args.reps,
     )
+    run_comparison([], methods, args.discipline, **settings)
+    os.makedirs(args.out, exist_ok=True)
+    with tempfile.NamedTemporaryFile(dir=args.out, prefix=".probe"):
+        pass
+
+    cases = _SUBSETS[args.subset]()
+    report = run_comparison(cases, methods, args.discipline, **settings)
     written = write_report_files(report, args.out)
     for line in summary_lines(report):
         print(line)

@@ -334,7 +334,7 @@ CI_REL_THRESHOLD = 0.05
 
 
 def _auto_config(
-    spec: SystemSpec, seed: int, target_customers: int, replications: int
+    spec: SystemSpec, target_customers: int, replications: int
 ) -> SimConfig:
     # Size the run so the pooled sample count lands near the target, with
     # a floor that keeps batches meaningful and a cap on cycle count for
@@ -347,7 +347,6 @@ def _auto_config(
         warmup_cycles=warmup,
         measured_cycles=cycles,
         replications=replications,
-        base_seed=seed,
         batch_count=AUTO_BATCH_COUNT,
         max_events=MAX_EVENTS_PER_CASE,
     )
@@ -374,11 +373,8 @@ def _run_case(
     index, case = indexed_case
     seed = _case_seed(base_seed, index)
     spec = materialize_case(case, discipline)
-    if cfg is None:
-        cfg = _auto_config(spec, seed, target_customers, replications)
-    else:
-        cfg = dataclasses.replace(cfg, base_seed=seed)
-    estimate = simulate(spec, cfg)
+    cfg = _auto_config(spec, target_customers, replications) if cfg is None else cfg
+    estimate = simulate(spec, dataclasses.replace(cfg, base_seed=seed))
     records = []
     for method in methods:
         result = mean_wait(spec, method)
@@ -405,10 +401,52 @@ def _run_case(
     return records
 
 
-def _run_settings(discipline, methods, base_seed, jobs, target_customers, replications):
-    """Check `run_comparison`'s run settings and return them as it uses them."""
+def run_comparison(
+    cases: Sequence[TestBedCase],
+    methods: Sequence[Method],
+    discipline: Discipline,
+    cfg: Optional[SimConfig] = None,
+    *,
+    base_seed: int = 777,
+    jobs: Optional[int] = None,
+    target_customers: int = 400_000,
+    replications: int = 3,
+) -> ErrorReport:
+    """Simulate `cases` and score `methods` against the estimates.
+
+    Parameters
+    ----------
+    cases, methods, discipline
+        What to run.  Case order defines ``case_index`` in the records.
+        `methods` is a non-empty sequence with no method twice, not a
+        single method.  A method or the discipline may be given as its
+        string value.
+    cfg : SimConfig, optional
+        Fixed run lengths for every case, which then ignore
+        `target_customers` and `replications`.  By default each case is
+        sized automatically to about `target_customers` pooled waiting
+        times over `replications` replications.
+    base_seed : int
+        Every case derives its own seed from this and its index, so
+        results do not depend on `jobs`.
+    jobs : int, optional
+        Worker processes; defaults to the CPU count.
+
+    `target_customers`, `replications` and `jobs` must be integers of at
+    least 1, and `base_seed` one of at least 0, with or without `cfg`.
+    Every setting is checked before any case runs, so a run of no cases
+    checks them all and returns an empty report.
+
+    Returns
+    -------
+    ErrorReport
+    """
     discipline = _choice(Discipline, discipline, "discipline")
+    if isinstance(methods, str):
+        raise InvalidInput(f"methods must be a sequence of methods, got {methods!r}")
     methods = tuple(_choice(Method, m, "method") for m in methods)
+    if not methods:
+        raise InvalidInput("methods must name at least one method")
     if len(set(methods)) < len(methods):
         raise InvalidInput(
             f"methods must not repeat, got {[m.value for m in methods]}"
@@ -426,50 +464,6 @@ def _run_settings(discipline, methods, base_seed, jobs, target_customers, replic
     jobs = (os.cpu_count() or 1) if jobs is None else _integer(jobs, "jobs")
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
-    return discipline, methods, base_seed, jobs, target_customers, replications
-
-
-def run_comparison(
-    cases: Sequence[TestBedCase],
-    methods: Sequence[Method],
-    discipline: Discipline,
-    cfg: Optional[SimConfig] = None,
-    *,
-    base_seed: int = 777,
-    jobs: Optional[int] = None,
-    target_customers: int = 400_000,
-    replications: int = 3,
-) -> ErrorReport:
-    """Simulate `cases` and score `methods` against the estimates.
-
-    Parameters
-    ----------
-    cases, methods, discipline
-        What to run.  Case order defines ``case_index`` in the records;
-        no method may appear twice.  A method or the discipline may be
-        given as its string value.
-    cfg : SimConfig, optional
-        Fixed run lengths for every case, which then ignore
-        `target_customers` and `replications`.  By default each case is
-        sized automatically to about `target_customers` pooled waiting
-        times over `replications` replications.
-    base_seed : int
-        Every case derives its own seed from this and its index, so
-        results do not depend on `jobs`.
-    jobs : int, optional
-        Worker processes; defaults to the CPU count.
-
-    `target_customers`, `replications` and `jobs` must be integers of at
-    least 1, and `base_seed` one of at least 0, with or without `cfg`.
-
-    Returns
-    -------
-    ErrorReport
-    """
-    settings = _run_settings(
-        discipline, methods, base_seed, jobs, target_customers, replications
-    )
-    discipline, methods, base_seed, jobs, target_customers, replications = settings
     run_case = functools.partial(
         _run_case,
         discipline,
@@ -504,9 +498,15 @@ def report_tables(report: ErrorReport, method: Method) -> dict[str, _Table]:
     ``errors_binned`` gives the share of errors (percent) in each 5%-wide
     bin; ``mean_error_by_<facet>`` the mean absolute error (percent) for
     each value of the facet, ``nan`` where no case has it.  Rows are queue
-    counts and columns facet values, both in numeric order.
+    counts and columns facet values, both in numeric order.  A method the
+    report does not hold raises `InvalidInput`.
     """
     method = _choice(Method, method, "method")
+    if method not in report.methods:
+        raise InvalidInput(
+            f"method {method.value!r} is not in the report, which holds "
+            f"{[m.value for m in report.methods]}"
+        )
     binned = _abs_errors(report, method)
     shares = {n: _bin_shares(row[None]) for n, row in binned.items()}
     tables = {"errors_binned": (list(_BIN_LABELS), shares, 8)}

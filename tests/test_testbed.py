@@ -2,6 +2,7 @@
 exact-case detection and the comparison runner."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from pollwait import (
     standard_bed,
 )
 from pollwait import testbed
-from pollwait.sim import SimConfig
+from pollwait.sim import SimConfig, simulate
 from pollwait.testbed import (
     FACETS,
     ErrorRecord,
@@ -302,8 +303,14 @@ def test_run_comparison_takes_string_values(tmp_path):
         (["bogus"], EXH, "method must be one of .* got 'bogus'"),
         ([None], EXH, "method must be one of .* got None"),
         ([Method.INTERPOLATION, "interpolation"], EXH, "methods must not repeat"),
+        (
+            "interpolation",
+            EXH,
+            "methods must be a sequence of methods, got 'interpolation'",
+        ),
+        ([], EXH, "methods must name at least one method"),
     ],
-    ids=["discipline", "method", "no-method", "repeat"],
+    ids=["discipline", "method", "no-method", "repeat", "string", "empty"],
 )
 def test_run_comparison_rejects_bad_choices_before_running(
     monkeypatch, methods, discipline, message
@@ -314,6 +321,74 @@ def test_run_comparison_rejects_bad_choices_before_running(
     monkeypatch.setattr(testbed, "_run_case", no_simulation)
     with pytest.raises(InvalidInput, match=message):
         run_comparison(SMOKE_CASES[:2], methods, discipline, jobs=1)
+
+
+def test_every_case_simulates_under_its_own_seed():
+    # README: every simulation derives its seed from the case index, under
+    # fixed and automatic run lengths alike.
+    sizes = dict(target_customers=5_000, replications=2)
+    for cfg in (SMOKE_CFG, None):
+        report = run_comparison(
+            SMOKE_CASES, (Method.INTERPOLATION,), GAT, cfg, base_seed=9, jobs=1, **sizes
+        )
+        for index, case in enumerate(SMOKE_CASES):
+            spec = materialize_case(case, GAT)
+            sized = testbed._auto_config(spec, **sizes) if cfg is None else cfg
+            seeded = dataclasses.replace(sized, base_seed=testbed._case_seed(9, index))
+            estimate = simulate(spec, seeded)
+            records = [r for r in report.records if r.case_index == index]
+            assert [(r.oracle, r.oracle_ci_half_width) for r in records] == list(
+                zip(estimate.mean_wait, estimate.ci_half_width)
+            )
+
+
+NO_CASE_RUN = dict(methods=["lt-only", Method.INTERPOLATION], discipline="gated")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(discipline="bogus"),
+        dict(methods="lt-only"),
+        dict(methods=[]),
+        dict(methods=["bogus"]),
+        dict(methods=["lt-only", Method.LT_ONLY]),
+        dict(replications=0),
+        dict(target_customers=0),
+        dict(target_customers=2.5),
+        dict(base_seed=-1),
+        dict(jobs=0),
+    ],
+    ids=[
+        "discipline",
+        "string",
+        "empty",
+        "method",
+        "repeat",
+        "replications",
+        "target-customers",
+        "non-integer",
+        "seed",
+        "jobs",
+    ],
+)
+def test_a_run_of_no_cases_checks_every_setting(monkeypatch, bad):
+    # pollwait testbed checks its flags this way before it creates --out.
+    def no_simulation(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(testbed, "_run_case", no_simulation)
+    with pytest.raises(InvalidInput):
+        run_comparison([], **{**NO_CASE_RUN, **bad})
+
+
+def test_a_run_of_no_cases_returns_an_empty_report(monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(testbed, "_run_case", no_simulation)
+    report = run_comparison([], **NO_CASE_RUN)
+    assert report == ErrorReport(GAT, (Method.LT_ONLY, Method.INTERPOLATION), [])
 
 
 def synthetic_report(cases_and_errors=None):
@@ -461,6 +536,14 @@ def test_report_tables_take_a_method_or_its_value():
     assert report_tables(report, "interpolation") == expected
     with pytest.raises(InvalidInput, match="method must be one of .* got 'bogus'"):
         report_tables(report, "bogus")
+
+
+def test_report_tables_reject_a_method_the_report_lacks():
+    # The report holds only the interpolation's records.
+    message = r"method 'lt-only' is not in the report, which holds \['interpolation'\]"
+    for method in (Method.LT_ONLY, "lt-only"):
+        with pytest.raises(InvalidInput, match=message):
+            report_tables(synthetic_report(), method)
 
 
 def test_render_tables(tmp_path):
