@@ -20,7 +20,6 @@ from .errors import InvalidInput, NumericalBudget, PollingModelError
 from .fitting import (
     DistKind,
     FittedDistribution,
-    density_at_zero_two_moment_approx,
     fit_two_moments,
     sample_array,
 )

@@ -322,7 +322,8 @@ def _cmd_sweep(args) -> int:
     grid = _parse_rho_grid(args.rho_grid)
     methods = _parse_methods(args.methods)
     base = _resolve_spec(args, rho=grid[0])
-    # One run configuration serves every load, checked before any work.
+    # One run configuration serves every load.  It, and the directory that
+    # will hold --out, are checked before any work; the probe leaves no file.
     cfg = None
     if args.with_sim:
         cfg = SimConfig(
@@ -333,6 +334,10 @@ def _cmd_sweep(args) -> int:
             batch_count=10,
             max_events=args.max_events,
         )
+    if args.out:
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        with tempfile.NamedTemporaryFile(dir=out_dir, prefix=".probe"):
+            pass
     lines = ["rho,queue,method,mean_wait,ci_half_width"]
     for rho in grid:
         spec = scale_to_load(base, rho)

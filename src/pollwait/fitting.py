@@ -1,9 +1,11 @@
 """Two-moment distribution fitting.
 
 Interarrival, service and switch-over laws are specified by a mean and a
-squared coefficient of variation (scv).  For simulation, and for the exact
-interarrival density value used by the waiting-time constants, each pair is
-mapped onto a concrete distribution from a small phase-type family:
+squared coefficient of variation (scv).  For simulation, and for the
+normalized interarrival density at zero that ``DensityMode.EXACT`` (at any
+scv) and ``TWO_MOMENT_APPROX`` (above scv 1) take from
+``_fitted_density_at_zero``, each pair is mapped onto a concrete
+distribution from a small phase-type family:
 
 ====================  =====================================
 scv                   fitted law
@@ -42,7 +44,6 @@ __all__ = [
     "DistKind",
     "FittedDistribution",
     "fit_two_moments",
-    "density_at_zero_two_moment_approx",
     "sample_array",
 ]
 
@@ -149,11 +150,6 @@ def _mixed_erlang(scv: float) -> tuple[int, float]:
     return shape, (shape * scv - math.sqrt(max(disc, 0.0))) / (1.0 + scv)
 
 
-def _h2_normalized_density(scv: float) -> float:
-    # Closed form of mean * (p*rate1 + (1-p)*rate2) for the balanced fit.
-    return 2.0 * scv / (scv + 1.0)
-
-
 def _fitted_density_at_zero(scv: float) -> float:
     """``mean * g(0)``, the normalized density at zero, of the law that
     `fit_two_moments` fits to `scv`.  It is scale free, so it is computed
@@ -165,7 +161,8 @@ def _fitted_density_at_zero(scv: float) -> float:
     if scv == 1.0:
         return 1.0
     if scv > 1.0:
-        return _h2_normalized_density(scv)
+        # mean * (prob*rate1 + (1-prob)*rate2) for the balanced fit.
+        return 2.0 * scv / (scv + 1.0)
     shape, prob = _mixed_erlang(scv)
     if shape == 1:
         # Degenerate mixture (scv just below 1): exponential.
@@ -176,21 +173,6 @@ def _fitted_density_at_zero(scv: float) -> float:
         # negative value just below a 1/k boundary; clamp.
         return max(0.0, prob * (2.0 - prob))
     return 0.0
-
-
-def density_at_zero_two_moment_approx(scv: float) -> float:
-    """Two-moment stand-in for the normalized interarrival density at zero.
-
-    Uses the balanced hyperexponential value ``2*scv/(scv + 1)`` when
-    scv > 1 and the empirical rule ``scv**4`` when scv <= 1.  Both branches
-    give 1 at scv == 1, and the fitted-law value agrees exactly with this
-    rule for any scv >= 1.
-    """
-    if not (math.isfinite(scv) and scv >= 0.0):
-        raise InvalidInput(f"scv must be >= 0 and finite, got {scv!r}")
-    if scv > 1.0:
-        return _h2_normalized_density(scv)
-    return scv**4
 
 
 def sample_array(

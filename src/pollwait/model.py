@@ -29,7 +29,6 @@ from .errors import InvalidInput
 from .fitting import (
     _check_fittable,
     _fitted_density_at_zero,
-    density_at_zero_two_moment_approx,
     fit_two_moments,  # noqa: F401
 )
 
@@ -58,10 +57,11 @@ class DensityMode(Enum):
     """How the normalized interarrival density at zero is obtained.
 
     The waiting-time constants need the value ``mean * g(0)`` of each
-    interarrival law.  It can be taken from the two-moment approximation
-    rule, computed exactly for the law ``fit_two_moments`` fits to the scv
-    (``EXACT``, valid at every scv it fits), or supplied by the caller when
-    the true law is known.
+    interarrival law, and ``_density_value`` chooses it.  ``EXACT`` computes
+    it for the law ``fit_two_moments`` fits to the scv, at every scv it
+    fits.  ``TWO_MOMENT_APPROX`` takes the rule ``scv**4`` up to scv 1 and
+    the same fitted value, ``2*scv/(scv + 1)``, above it.  ``USER_VALUE``
+    takes ``density_value``, for when the true law is known.
     """
 
     TWO_MOMENT_APPROX = "two-moment-approx"
@@ -293,12 +293,13 @@ class DerivedMoments:
 
 
 def _density_value(queue: QueueSpec) -> float:
-    mode = queue.density_mode
-    if mode is DensityMode.TWO_MOMENT_APPROX:
-        return density_at_zero_two_moment_approx(queue.scv_interarrival)
+    mode, scv = queue.density_mode, queue.scv_interarrival
     if mode is DensityMode.USER_VALUE:
         return queue.density_value
-    return _fitted_density_at_zero(queue.scv_interarrival)
+    if mode is DensityMode.TWO_MOMENT_APPROX and scv <= 1.0:
+        return scv**4
+    # Above scv 1 the two-moment rule is the fitted law's own value.
+    return _fitted_density_at_zero(scv)
 
 
 def derive_moments(spec: SystemSpec) -> DerivedMoments:

@@ -1,5 +1,6 @@
 """Checks that only tests need: realized moments and the density at zero
-of a fitted law, the mean error of a filtered set of test-bed records, the systems of the
+of a fitted law, the density at zero the model takes for an interarrival
+scv, the mean error of a filtered set of test-bed records, the systems of the
 command line's presets, the v1 document of a system, and a reference
 derivation of a system's moment aggregates."""
 
@@ -11,13 +12,15 @@ from typing import Callable, Optional
 
 from pollwait import cli
 from pollwait.approx import Method
-from pollwait.fitting import (
-    DistKind,
-    FittedDistribution,
-    density_at_zero_two_moment_approx,
-    fit_two_moments,
+from pollwait.fitting import DistKind, FittedDistribution, fit_two_moments
+from pollwait.model import (
+    DensityMode,
+    DerivedMoments,
+    Discipline,
+    QueueSpec,
+    SystemSpec,
+    derive_moments,
 )
-from pollwait.model import DensityMode, DerivedMoments, Discipline, SystemSpec
 from pollwait.testbed import ErrorRecord, ErrorReport, _mean
 
 
@@ -55,6 +58,16 @@ def law_density_at_zero(dist: FittedDistribution) -> float:
         # Only the one-stage branch has density at zero.
         return max(0.0, dist.prob * (2.0 - dist.prob))
     return 0.0
+
+
+def model_density(
+    scv: float, mode: DensityMode = DensityMode.TWO_MOMENT_APPROX
+) -> float:
+    """The density at zero `derive_moments` takes for a queue whose
+    interarrival law has `scv`, under `mode`."""
+    queue = QueueSpec(1.0, 1.0, 2.0, scv, 1.0, 1.0, mode)
+    spec = SystemSpec((queue, queue), Discipline.EXHAUSTIVE, 0.5)
+    return derive_moments(spec).density_at_zero[0]
 
 
 def mean_abs_error(
@@ -136,8 +149,9 @@ def reference_moments(spec: SystemSpec) -> DerivedMoments:
     )
 
     def density(q):
+        scv = q.scv_interarrival
         if q.density_mode is DensityMode.TWO_MOMENT_APPROX:
-            return density_at_zero_two_moment_approx(q.scv_interarrival)
+            return scv**4 if scv <= 1 else 2 * scv / (scv + 1)
         if q.density_mode is DensityMode.USER_VALUE:
             return q.density_value
         fitted = fit_two_moments(

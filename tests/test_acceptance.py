@@ -20,7 +20,6 @@ from pollwait import (
     QueueSpec,
     SystemSpec,
     TestBedCase,
-    density_at_zero_two_moment_approx,
     derive_moments,
     fit_two_moments,
     materialize_case,
@@ -37,6 +36,7 @@ from pollwait.testbed import is_exact_case, run_comparison
 from _helpers import (
     law_density_at_zero,
     mean_abs_error,
+    model_density,
     preset_spec,
     realized_moments,
 )
@@ -422,10 +422,8 @@ def test_criterion_8_distribution_fitting():
             3.0: 1.5,
         }
         for scv, expected in rule.items():
-            assert math.isclose(
-                density_at_zero_two_moment_approx(scv), expected, rel_tol=1e-12
-            )
+            assert math.isclose(model_density(scv), expected, rel_tol=1e-12)
         for scv in (1.0, 1.3, 2.0, 3.0, 7.5):
-            assert density_at_zero_two_moment_approx(scv) == law_density_at_zero(
+            assert model_density(scv) == law_density_at_zero(
                 fit_two_moments(1.0, scv)
             )

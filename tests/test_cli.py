@@ -593,6 +593,26 @@ def test_sweep_writes_its_whole_text_or_nothing(capsys, tmp_path):
     assert "over the budget of 20000" in err
 
 
+def test_sweep_rejects_a_missing_out_directory_before_any_estimate(
+    capsys, tmp_path, monkeypatch
+):
+    # Each estimate is recorded, then made as before.
+    calls = []
+    for name in ("mean_wait", "simulate"):
+        def record(*args, _real=getattr(pollwait.cli, name)):
+            calls.append(_real.__name__)
+            return _real(*args)
+        monkeypatch.setattr(pollwait.cli, name, record)
+    out_path = tmp_path / "missing" / "sweep.csv"
+    code, out, err = run(
+        capsys, "sweep", "--preset", "three-queue", "--rho-grid", "0.3:0.9:0.3",
+        "--with-sim", "--sim-cycles", "20000", "--out", str(out_path),
+    )
+    assert (code, out, calls) == (4, "", [])
+    assert err.startswith("error:") and str(tmp_path / "missing") in err
+    assert not (tmp_path / "missing").exists()
+
+
 def _outcome(capsys, argv):
     """Exit code and stdout of `main(argv)`, argparse's exits included."""
     try:

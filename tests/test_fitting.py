@@ -6,16 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from pollwait import (
-    DistKind,
-    InvalidInput,
-    density_at_zero_two_moment_approx,
-    fit_two_moments,
-    sample_array,
-)
+from pollwait import DistKind, InvalidInput, fit_two_moments, sample_array
 from pollwait.fitting import _fitted_density_at_zero
 
-from _helpers import law_density_at_zero, realized_moments
+from _helpers import law_density_at_zero, model_density, realized_moments
 
 
 def test_kind_selection_by_scv():
@@ -127,14 +121,14 @@ def test_density_at_zero_single_stage_branch():
 
 
 def test_two_moment_rule_values():
-    assert density_at_zero_two_moment_approx(0.25) == 0.25**4
-    assert density_at_zero_two_moment_approx(0.5) == 0.5**4
-    assert density_at_zero_two_moment_approx(0.0) == 0.0
-    assert density_at_zero_two_moment_approx(1.0) == 1.0
-    assert math.isclose(
-        density_at_zero_two_moment_approx(2.0), 4.0 / 3.0, rel_tol=1e-15
-    )
-    assert math.isclose(density_at_zero_two_moment_approx(3.0), 1.5, rel_tol=1e-15)
+    # The default mode, DensityMode.TWO_MOMENT_APPROX, as derive_moments
+    # takes it.
+    assert model_density(0.25) == 0.25**4
+    assert model_density(0.5) == 0.5**4
+    assert model_density(0.0) == 0.0
+    assert model_density(1.0) == 1.0
+    assert math.isclose(model_density(2.0), 4.0 / 3.0, rel_tol=1e-15)
+    assert math.isclose(model_density(3.0), 1.5, rel_tol=1e-15)
 
 
 def test_rule_agrees_exactly_with_fit_above_one():
@@ -142,7 +136,7 @@ def test_rule_agrees_exactly_with_fit_above_one():
     # closed form, so agreement is float exact.
     for scv in (1.0, 1.2, 2.0, 5.0, 40.0):
         fitted = _fitted_density_at_zero(scv)
-        assert fitted == density_at_zero_two_moment_approx(scv)
+        assert fitted == model_density(scv)
 
 
 def test_sampling_matches_fitted_moments():
@@ -186,8 +180,6 @@ def test_invalid_targets_rejected():
     for mean, scv, target in bad:
         with pytest.raises(InvalidInput, match=f"^{target} must be"):
             fit_two_moments(mean, scv)
-    with pytest.raises(InvalidInput, match="scv must be >= 0 and finite"):
-        density_at_zero_two_moment_approx(-0.5)
 
 
 @pytest.mark.parametrize("scv", [1e-300, 5e-324, 1e-30, 1e16, 1e300])

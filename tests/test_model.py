@@ -24,7 +24,7 @@ from pollwait import (
 )
 from pollwait.testbed import materialize_case
 
-from _helpers import law_density_at_zero, reference_moments
+from _helpers import law_density_at_zero, model_density, reference_moments
 
 
 def make_queue(**overrides):
@@ -141,6 +141,34 @@ def test_exact_density_is_the_fitted_law_at_every_scv(scv):
     spec = SystemSpec((queue, queue), Discipline.EXHAUSTIVE, 0.5)
     expected = law_density_at_zero(fit_two_moments(2.0, scv))
     assert derive_moments(spec).density_at_zero == (expected, expected)
+
+
+BELOW_ONE, ABOVE_ONE = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+APPROX, EXACT = DensityMode.TWO_MOMENT_APPROX, DensityMode.EXACT
+
+
+@pytest.mark.parametrize(
+    "mode, scv, expected",
+    [
+        (APPROX, 0.0, 0.0),
+        (APPROX, BELOW_ONE, BELOW_ONE**4),
+        (APPROX, 1.0, 1.0),
+        (APPROX, ABOVE_ONE, 2.0 * ABOVE_ONE / (ABOVE_ONE + 1.0)),
+        (EXACT, 0.0, 0.0),
+        (EXACT, BELOW_ONE, 1.0),  # an Erlang of one stage: exponential
+        (EXACT, 1.0, 1.0),
+        (EXACT, ABOVE_ONE, 2.0 * ABOVE_ONE / (ABOVE_ONE + 1.0)),
+    ],
+    ids=[
+        f"{mode.value}-{name}"
+        for mode in (APPROX, EXACT)
+        for name in ("zero", "below-one", "one", "above-one")
+    ],
+)
+def test_density_modes_at_the_rule_boundary(mode, scv, expected):
+    # The rule scv**4 holds up to scv 1 and only under TWO_MOMENT_APPROX;
+    # one ulp above 1 both modes take the fitted hyperexponential's value.
+    assert model_density(scv, mode) == expected
 
 
 def test_system_load_range():

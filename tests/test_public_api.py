@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "TestBedCase",
     "WaitingTimeResult",
     "__version__",
-    "density_at_zero_two_moment_approx",
     "derive_moments",
     "fit_two_moments",
     "is_exact_case",
@@ -126,7 +125,6 @@ def test_fitting_exports_what_the_model_and_simulator_use():
     assert sorted(fitting.__all__) == [
         "DistKind",
         "FittedDistribution",
-        "density_at_zero_two_moment_approx",
         "fit_two_moments",
         "sample_array",
     ]
