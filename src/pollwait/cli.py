@@ -322,8 +322,9 @@ def _cmd_sweep(args) -> int:
     grid = _parse_rho_grid(args.rho_grid)
     methods = _parse_methods(args.methods)
     base = _resolve_spec(args, rho=grid[0])
-    # One run configuration serves every load.  It, and the directory that
-    # will hold --out, are checked before any work; the probe leaves no file.
+    # One run configuration serves every load.  It and --out are checked
+    # before any work: --out's directory must take a file (the probe leaves
+    # none) and --out must not be a directory.
     cfg = None
     if args.with_sim:
         cfg = SimConfig(
@@ -335,9 +336,11 @@ def _cmd_sweep(args) -> int:
             max_events=args.max_events,
         )
     if args.out:
-        out_dir = os.path.dirname(os.path.abspath(args.out))
+        out_dir = os.path.dirname(args.out) or "."
         with tempfile.NamedTemporaryFile(dir=out_dir, prefix=".probe"):
             pass
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(f"--out names a directory: {args.out}")
     lines = ["rho,queue,method,mean_wait,ci_half_width"]
     for rho in grid:
         spec = scale_to_load(base, rho)

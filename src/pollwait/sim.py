@@ -14,7 +14,8 @@ it is written for throughput and determinism rather than generality:
   queue's index with its switch-over draw.  An empty visit, the common
   case at low load, costs one comparison plus its switch-over draw.
 * Variates come from per-queue, per-purpose substreams spawned from a
-  single seed, so results are reproducible and replications independent.
+  single seed, so results are reproducible and replications independent;
+  ``_fit_laws`` lists the laws in substream order.
   Each substream is a C-level iterator: ``itertools.repeat`` for a
   deterministic law, otherwise chained chunks of ``sample_array``.  A
   chunk is read through a memoryview, so a Python float exists only once
@@ -143,25 +144,27 @@ def _stream(dist: FittedDistribution, rng: np.random.Generator) -> Iterator[floa
 
 def _fit_laws(
     spec: SystemSpec,
-) -> tuple[list[FittedDistribution], ...]:
+) -> list[FittedDistribution]:
+    # Listed in substream order: substream 3*i feeds queue i's arrivals,
+    # 3*i+1 its services and 3*i+2 its switch-overs.
     def fit(mean: float, scv: float) -> FittedDistribution:
         if mean == 0.0:  # only a switch-over time can be zero
             return FittedDistribution(DistKind.DETERMINISTIC, 0.0, 0.0)
         return fit_two_moments(mean, scv)
 
-    queues = spec.queues
-    interarrival = [
-        fit(q.mean_interarrival_at_saturation / spec.rho, q.scv_interarrival)
-        for q in queues
-    ]
-    service = [fit(q.mean_service, q.scv_service) for q in queues]
-    switchover = [fit(q.mean_switchover, q.scv_switchover) for q in queues]
-    return interarrival, service, switchover
+    laws = []
+    for q in spec.queues:
+        laws += (
+            fit(q.mean_interarrival_at_saturation / spec.rho, q.scv_interarrival),
+            fit(q.mean_service, q.scv_service),
+            fit(q.mean_switchover, q.scv_switchover),
+        )
+    return laws
 
 
 def _run_replication(
     spec: SystemSpec,
-    laws: tuple[list[FittedDistribution], ...],
+    laws: list[FittedDistribution],
     cfg: SimConfig,
     seed: np.random.SeedSequence,
     budget: int,
@@ -169,14 +172,9 @@ def _run_replication(
     from numpy.random import default_rng
 
     n = spec.n
-    # Substream 3*i feeds queue i's arrivals, 3*i+1 its services and
-    # 3*i+2 its switch-overs.
     draws = [
         _stream(law, default_rng(substream)).__next__
-        for law, substream in zip(
-            (law for per_queue in zip(*laws) for law in per_queue),
-            seed.spawn(3 * n),
-        )
+        for law, substream in zip(laws, seed.spawn(3 * n))
     ]
     draw_arrival, draw_service, draw_switch = draws[0::3], draws[1::3], draws[2::3]
     # Built once: each visit takes its index and switch-over draw in one step.

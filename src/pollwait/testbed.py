@@ -180,15 +180,6 @@ def sampled_bed() -> list[TestBedCase]:
     return _grid(_SAMPLED_AXES)
 
 
-def _linear_rates(n: int, imbalance: float) -> list[float]:
-    # Largest rate first, linear steps, mean rate one.
-    if n == 1 or imbalance == 1.0:
-        return [1.0] * n
-    step = 2.0 * (imbalance - 1.0) / ((n - 1) * (imbalance + 1.0))
-    first = 1.0 + (n - 1) * step / 2.0
-    return [first - step * k for k in range(n)]
-
-
 def materialize_case(
     case: TestBedCase, discipline: Discipline = Discipline.EXHAUSTIVE
 ) -> SystemSpec:
@@ -196,16 +187,21 @@ def materialize_case(
 
     Arrival rates fall linearly from queue 0 to queue ``n-1`` with the
     requested spread; mean service times rise linearly and are scaled so
-    the total load equals ``case.rho``; each queue's mean switch-over is
+    the total load equals ``case.rho``; a one-queue case ignores both
+    imbalances and carries the whole load.  Each queue's mean switch-over is
     ``switchover_service_ratio`` times its mean service time.  Interarrival
     density values are evaluated exactly for the fitted laws, matching what
     the simulator draws from.
     """
     n = case.n_queues
-    rates = _linear_rates(n, case.imbalance_interarrival)
     if n == 1:
-        shapes = [1.0]
+        rates = shapes = [1.0]
     else:
+        # Largest rate first, linear steps, mean rate one.
+        imbalance = case.imbalance_interarrival
+        step = 2.0 * (imbalance - 1.0) / ((n - 1) * (imbalance + 1.0))
+        first = 1.0 + (n - 1) * step / 2.0
+        rates = [first - step * k for k in range(n)]
         shapes = [
             1.0 + (case.imbalance_service - 1.0) * k / (n - 1)
             for k in range(n)

@@ -58,7 +58,7 @@ def _run_replication(
     log: Optional[list[SimEvent]],
 ):
     n = spec.n
-    interarrival, service, switchover = laws
+    interarrival, service, switchover = laws[0::3], laws[1::3], laws[2::3]
     substreams = seed.spawn(3 * n)
     draw_arrival = []
     draw_service = []

@@ -593,24 +593,35 @@ def test_sweep_writes_its_whole_text_or_nothing(capsys, tmp_path):
     assert "over the budget of 20000" in err
 
 
+@pytest.mark.parametrize(
+    "exists, suffix",
+    [(False, "/sweep.csv"), (True, ""), (False, "/")],
+    ids=["missing-directory", "existing-directory", "missing-directory-slash"],
+)
 def test_sweep_rejects_a_missing_out_directory_before_any_estimate(
-    capsys, tmp_path, monkeypatch
+    capsys, tmp_path, monkeypatch, exists, suffix
 ):
-    # Each estimate is recorded, then made as before.
+    # Each estimate is recorded, then made as before.  --out names a file
+    # in a missing directory, an existing directory, or a missing directory
+    # by its trailing slash.
     calls = []
     for name in ("mean_wait", "simulate"):
         def record(*args, _real=getattr(pollwait.cli, name)):
             calls.append(_real.__name__)
             return _real(*args)
         monkeypatch.setattr(pollwait.cli, name, record)
-    out_path = tmp_path / "missing" / "sweep.csv"
+    directory = tmp_path / "out"
+    if exists:
+        directory.mkdir()
     code, out, err = run(
         capsys, "sweep", "--preset", "three-queue", "--rho-grid", "0.3:0.9:0.3",
-        "--with-sim", "--sim-cycles", "20000", "--out", str(out_path),
+        "--with-sim", "--sim-cycles", "20000", "--out", f"{directory}{suffix}",
     )
     assert (code, out, calls) == (4, "", [])
-    assert err.startswith("error:") and str(tmp_path / "missing") in err
-    assert not (tmp_path / "missing").exists()
+    assert err.startswith("error:") and str(directory) in err
+    # The directory is left as it was: absent, or present and empty.
+    assert directory.exists() == exists
+    assert not exists or not any(directory.iterdir())
 
 
 def _outcome(capsys, argv):

@@ -136,10 +136,11 @@ def test_materialize_five_queue_case():
     assert math.isclose(sum(q.load_fraction for q in spec.queues), 1.0, rel_tol=1e-12)
 
 
-def test_materialize_one_queue_case():
-    # One queue carries the whole load; the service imbalance has no
-    # second queue to apply to.
-    case = TestBedCase(1, 0.4, 2.0, 0.5, 0.25, 1.0, 5.0, 3.0)
+@pytest.mark.parametrize("imbalance_interarrival", [1.0, 5.0])
+def test_materialize_one_queue_case(imbalance_interarrival):
+    # One queue carries the whole load; neither imbalance has a second
+    # queue to apply to.
+    case = TestBedCase(1, 0.4, 2.0, 0.5, 0.25, imbalance_interarrival, 5.0, 3.0)
     spec = materialize_case(case, GAT)
     (queue,) = spec.queues
     assert spec.rho == 0.4 and spec.discipline is GAT

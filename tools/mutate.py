@@ -6,9 +6,11 @@ Each mutation replaces one exact snippet of one file with its replacement.
 The script copies the repository to a temporary directory, runs every named
 test once on the unmutated copy (they must pass, or it stops with exit
 code 2), then applies each mutation in turn and runs only its tests.  A
-mutation is killed when one of them fails or errors, and survives when all
-pass.  Each status, with the failing test ids, is written to
-``results/mutation.json``; the exit code is 1 if any mutation survived.
+mutation is killed when one of them fails or errors, or when they run
+longer than twice the unmutated run of every named test plus 30 s (a
+mutated loop can run forever), and survives when all pass.  Each status,
+with the failing test ids, is written to ``results/mutation.json``; the
+exit code is 1 if any mutation survived.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -28,7 +31,9 @@ _SKIP = shutil.ignore_patterns(
 )
 
 
-def _run_tests(copy: str, tests: list[str]) -> tuple[bool, list[str]]:
+def _run_tests(
+    copy: str, tests: list[str], timeout: float | None = None
+) -> tuple[bool, list[str]]:
     """Run `tests` in `copy`; return whether all passed and the failing ids."""
     env = dict(
         os.environ,
@@ -37,13 +42,17 @@ def _run_tests(copy: str, tests: list[str]) -> tuple[bool, list[str]]:
         # bytecode is cached that a later run could take for current.
         PYTHONDONTWRITEBYTECODE="1",
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
-        cwd=copy,
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+            cwd=copy,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return False, [f"timed out after {timeout:.0f} s"]
     # Exit code 1 is failing tests, 2 an error while collecting them.
     if proc.returncode not in (0, 1, 2):
         raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
@@ -63,10 +72,12 @@ def main() -> int:
         copy = os.path.join(scratch, "repo")
         shutil.copytree(ROOT, copy, ignore=_SKIP)
         baseline = list(dict.fromkeys(t for m in mutations for t in m["tests"]))
+        begin = time.monotonic()
         passed, failed = _run_tests(copy, baseline)
         if not passed:
             print(f"unmutated tests fail: {failed}", file=sys.stderr)
             return 2
+        timeout = 2.0 * (time.monotonic() - begin) + 30.0
         for mutation in mutations:
             path = os.path.join(copy, mutation["file"])
             with open(path) as handle:
@@ -76,7 +87,7 @@ def main() -> int:
                 return 2
             with open(path, "w") as handle:
                 handle.write(source.replace(mutation["snippet"], mutation["replacement"]))
-            passed, failed = _run_tests(copy, mutation["tests"])
+            passed, failed = _run_tests(copy, mutation["tests"], timeout)
             with open(path, "w") as handle:
                 handle.write(source)
             status = "survived" if passed else "killed"
