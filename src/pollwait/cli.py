@@ -323,8 +323,8 @@ def _cmd_sweep(args) -> int:
     methods = _parse_methods(args.methods)
     base = _resolve_spec(args, rho=grid[0])
     # One run configuration serves every load.  It and --out are checked
-    # before any work: --out's directory must take a file (the probe leaves
-    # none) and --out must not be a directory.
+    # before any work: --out must not be empty, its directory must take a
+    # file (the probe leaves none) and --out must not be a directory.
     cfg = None
     if args.with_sim:
         cfg = SimConfig(
@@ -335,7 +335,9 @@ def _cmd_sweep(args) -> int:
             batch_count=10,
             max_events=args.max_events,
         )
-    if args.out:
+    if args.out is not None:
+        if not args.out:
+            raise FileNotFoundError("--out names no file")
         out_dir = os.path.dirname(args.out) or "."
         with tempfile.NamedTemporaryFile(dir=out_dir, prefix=".probe"):
             pass
@@ -361,7 +363,7 @@ def _cmd_sweep(args) -> int:
                 )
     lines.append("")  # so the one join ends the text with a newline
     text = "\n".join(lines)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as handle:
             handle.write(text)
     else:

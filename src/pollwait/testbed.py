@@ -188,7 +188,9 @@ def materialize_case(
     Arrival rates fall linearly from queue 0 to queue ``n-1`` with the
     requested spread; mean service times rise linearly and are scaled so
     the total load equals ``case.rho``; a one-queue case ignores both
-    imbalances and carries the whole load.  Each queue's mean switch-over is
+    imbalances and carries the whole load.  With more than one queue, a
+    rate imbalance above about 2**53 (9.0e15) cancels the last rate to
+    zero or less and raises `InvalidInput`.  Each queue's mean switch-over is
     ``switchover_service_ratio`` times its mean service time.  Interarrival
     density values are evaluated exactly for the fitted laws, matching what
     the simulator draws from.
@@ -202,6 +204,11 @@ def materialize_case(
         step = 2.0 * (imbalance - 1.0) / ((n - 1) * (imbalance + 1.0))
         first = 1.0 + (n - 1) * step / 2.0
         rates = [first - step * k for k in range(n)]
+        if not rates[-1] > 0.0:
+            raise InvalidInput(
+                f"imbalance_interarrival {imbalance!r} is too large for "
+                f"{n} queues: the smallest arrival rate is not positive"
+            )
         shapes = [
             1.0 + (case.imbalance_service - 1.0) * k / (n - 1)
             for k in range(n)
@@ -358,19 +365,11 @@ def _case_seed(base_seed: int, index: int) -> int:
 
 
 def _run_case(
-    discipline: Discipline,
     methods: tuple[Method, ...],
-    cfg: Optional[SimConfig],
-    base_seed: int,
-    target_customers: int,
-    replications: int,
-    indexed_case: tuple[int, TestBedCase],
+    run: tuple[int, TestBedCase, SystemSpec, SimConfig],
 ) -> list[ErrorRecord]:
-    index, case = indexed_case
-    seed = _case_seed(base_seed, index)
-    spec = materialize_case(case, discipline)
-    cfg = _auto_config(spec, target_customers, replications) if cfg is None else cfg
-    estimate = simulate(spec, dataclasses.replace(cfg, base_seed=seed))
+    index, case, spec, cfg = run
+    estimate = simulate(spec, cfg)
     records = []
     for method in methods:
         result = mean_wait(spec, method)
@@ -384,7 +383,7 @@ def _run_case(
                 ErrorRecord(
                     case_index=index,
                     case=case,
-                    discipline=discipline,
+                    discipline=spec.discipline,
                     queue=q,
                     method=method,
                     approx=approx,
@@ -431,7 +430,9 @@ def run_comparison(
     `target_customers`, `replications` and `jobs` must be integers of at
     least 1, and `base_seed` one of at least 0, with or without `cfg`.
     Every setting is checked before any case runs, so a run of no cases
-    checks them all and returns an empty report.
+    checks them all and returns an empty report.  Then every case is
+    built, sized and seeded before any case runs, so a case that cannot
+    be built raises before any simulation.
 
     Returns
     -------
@@ -460,22 +461,20 @@ def run_comparison(
     jobs = (os.cpu_count() or 1) if jobs is None else _integer(jobs, "jobs")
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
-    run_case = functools.partial(
-        _run_case,
-        discipline,
-        methods,
-        cfg,
-        base_seed,
-        target_customers,
-        replications,
-    )
-    if jobs == 1 or len(cases) <= 1:
-        chunks = [run_case(item) for item in enumerate(cases)]
+    runs = []
+    for index, case in enumerate(cases):
+        spec = materialize_case(case, discipline)
+        size = cfg or _auto_config(spec, target_customers, replications)
+        seed = _case_seed(base_seed, index)
+        runs.append((index, case, spec, dataclasses.replace(size, base_seed=seed)))
+    run_case = functools.partial(_run_case, methods)
+    if jobs == 1 or len(runs) <= 1:
+        chunks = [run_case(run) for run in runs]
     else:
         from multiprocessing import Pool
 
-        with Pool(processes=min(jobs, len(cases))) as pool:
-            chunks = pool.map(run_case, enumerate(cases), chunksize=1)
+        with Pool(processes=min(jobs, len(runs))) as pool:
+            chunks = pool.map(run_case, runs, chunksize=1)
     records = [r for chunk in chunks for r in chunk]
     return ErrorReport(
         discipline=discipline, methods=methods, records=records

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end via ``main(argv)``."""
 
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -26,6 +27,12 @@ from pollwait.cli import (
     _parse_rho_grid,
     load_spec_file,
     main,
+)
+from pollwait.testbed import (
+    high_variation_poisson_bed,
+    poisson_bed,
+    sampled_bed,
+    standard_bed,
 )
 
 from _helpers import preset_spec, spec_to_dict
@@ -593,6 +600,18 @@ def test_sweep_writes_its_whole_text_or_nothing(capsys, tmp_path):
     assert "over the budget of 20000" in err
 
 
+def record_estimates(monkeypatch):
+    """Record the name of each `mean_wait` and `simulate` call of the
+    command line, then make the call as before."""
+    calls = []
+    for name in ("mean_wait", "simulate"):
+        def record(*args, _real=getattr(pollwait.cli, name)):
+            calls.append(_real.__name__)
+            return _real(*args)
+        monkeypatch.setattr(pollwait.cli, name, record)
+    return calls
+
+
 @pytest.mark.parametrize(
     "exists, suffix",
     [(False, "/sweep.csv"), (True, ""), (False, "/")],
@@ -601,15 +620,9 @@ def test_sweep_writes_its_whole_text_or_nothing(capsys, tmp_path):
 def test_sweep_rejects_a_missing_out_directory_before_any_estimate(
     capsys, tmp_path, monkeypatch, exists, suffix
 ):
-    # Each estimate is recorded, then made as before.  --out names a file
-    # in a missing directory, an existing directory, or a missing directory
-    # by its trailing slash.
-    calls = []
-    for name in ("mean_wait", "simulate"):
-        def record(*args, _real=getattr(pollwait.cli, name)):
-            calls.append(_real.__name__)
-            return _real(*args)
-        monkeypatch.setattr(pollwait.cli, name, record)
+    # --out names a file in a missing directory, an existing directory, or
+    # a missing directory by its trailing slash.
+    calls = record_estimates(monkeypatch)
     directory = tmp_path / "out"
     if exists:
         directory.mkdir()
@@ -622,6 +635,22 @@ def test_sweep_rejects_a_missing_out_directory_before_any_estimate(
     # The directory is left as it was: absent, or present and empty.
     assert directory.exists() == exists
     assert not exists or not any(directory.iterdir())
+
+
+def test_sweep_rejects_an_empty_out_before_any_estimate(
+    capsys, tmp_path, monkeypatch
+):
+    # An empty --out, as from an unset shell variable, names no file: it
+    # is not standard output.
+    calls = record_estimates(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "sweep", "--preset", "three-queue", "--rho-grid", "0.3:0.9:0.3",
+        "--with-sim", "--sim-cycles", "20000", "--out", "",
+    )
+    assert (code, out, calls) == (4, "", [])
+    assert err.startswith("error:") and "--out" in err
+    assert not any(tmp_path.iterdir())
 
 
 def _outcome(capsys, argv):
@@ -967,6 +996,36 @@ def test_testbed_sampled_run(capsys, tmp_path):
     assert "raw_records.csv" in names
     assert "summary.txt" in names
     assert "errors_binned_interpolation.txt" in names
+
+
+@pytest.mark.parametrize(
+    "subset, bed",
+    [
+        ("full", standard_bed),
+        ("poisson", poisson_bed),
+        ("sampled", sampled_bed),
+        ("high-variation", high_variation_poisson_bed),
+    ],
+)
+def test_testbed_subset_runs_that_bed(capsys, tmp_path, monkeypatch, subset, bed):
+    # Each call is recorded and then made with no cases, so no case runs;
+    # the first call is the check of the settings.  The wrapper keeps the
+    # signature the parser reads its defaults from.
+    calls = []
+    real = pollwait.cli.run_comparison
+
+    @functools.wraps(real)
+    def record(cases, *args, **kwargs):
+        calls.append(list(cases))
+        return real([], *args, **kwargs)
+
+    monkeypatch.setattr(pollwait.cli, "run_comparison", record)
+    code, _, _ = run(
+        capsys, "testbed", "--discipline", "gated", "--subset", subset,
+        "--out", str(tmp_path / "bed"), "--jobs", "1",
+    )
+    assert code == 0
+    assert calls == [[], bed()]
 
 
 def test_sweep_rows_equal_direct_estimates(capsys, tmp_path):

@@ -37,8 +37,10 @@ from pollwait import (
     QueueSpec,
     SimConfig,
     SystemSpec,
+    TestBedCase,
     derive_moments,
     fit_two_moments,
+    materialize_case,
     mean_wait,
     pcl_residual,
     pcl_rhs,
@@ -380,3 +382,25 @@ def test_every_valid_system_can_be_simulated(spec):
         warmup_cycles=0, measured_cycles=200, replications=1, batch_count=2
     )
     assert simulate(spec, cfg).replications == 1
+
+
+# Any valid grid case: 1-8 queues, every scv a law is fitted to, and
+# imbalances and switch-over ratios up to 1.7e308.
+_TEST_BED_CASES = st.builds(
+    TestBedCase,
+    st.integers(1, 8),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    _SCVS,
+    _SCVS,
+    _SCVS,
+    st.floats(1.0, 1.7e308),
+    st.floats(1.0, 1.7e308),
+    st.floats(0.0, 1.7e308, exclude_min=True),
+)
+
+
+@PROPERTY_SETTINGS
+@given(_TEST_BED_CASES, st.sampled_from(list(Discipline)))
+def test_a_valid_case_materializes_or_is_invalid_input(case, discipline):
+    with contextlib.suppress(InvalidInput):
+        assert materialize_case(case, discipline).n == case.n_queues

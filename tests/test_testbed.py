@@ -4,6 +4,7 @@ exact-case detection and the comparison runner."""
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ def test_materialize_one_queue_case(imbalance_interarrival):
         0.5,
         0.25,
     )
+
+
+@pytest.mark.parametrize("imbalance", [1e16, 1e308])
+@pytest.mark.parametrize("n", [2, 5])
+def test_materialize_rejects_a_rate_spread_that_cancels(n, imbalance):
+    # The case is valid, but its spread rounds the last rate to zero
+    # (1e16), or to nan through an infinite step (1e308).
+    case = TestBedCase(n, 0.5, 1.0, 1.0, 1.0, imbalance, 1.0, 1.0)
+    message = f"imbalance_interarrival {imbalance!r} is too large for {n} queues"
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        materialize_case(case)
 
 
 def test_materialize_balanced_case_is_symmetric():
@@ -341,6 +353,29 @@ def test_every_case_simulates_under_its_own_seed():
             assert [(r.oracle, r.oracle_ci_half_width) for r in records] == list(
                 zip(estimate.mean_wait, estimate.ci_half_width)
             )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_case_that_cannot_be_built_fails_before_any_simulation(monkeypatch, jobs):
+    # Every case is built before the first one runs, so no case is
+    # simulated and no worker pool is started.
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(testbed, "simulate", record)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    bad = TestBedCase(2, 0.5, 1.0, 1.0, 1.0, 1e16, 1.0, 1.0)
+    with pytest.raises(InvalidInput, match="imbalance_interarrival"):
+        run_comparison(
+            [*SMOKE_CASES, bad], (Method.INTERPOLATION,), EXH, cfg=SMOKE_CFG, jobs=jobs
+        )
+    assert calls == []
 
 
 NO_CASE_RUN = dict(methods=["lt-only", Method.INTERPOLATION], discipline="gated")
