@@ -37,7 +37,6 @@ from .testbed import (
     ErrorRecord,
     ErrorReport,
     TestBedCase,
-    is_exact_case,
     materialize_case,
     poisson_bed,
     run_comparison,

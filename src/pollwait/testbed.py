@@ -24,6 +24,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +53,6 @@ __all__ = [
     "high_variation_poisson_bed",
     "sampled_bed",
     "materialize_case",
-    "is_exact_case",
     "run_comparison",
     "report_tables",
     "summary_lines",
@@ -60,11 +60,6 @@ __all__ = [
     "report_to_csv",
     "report_from_csv",
 ]
-
-# Tolerance for the two-queue load constraint that makes an imbalanced
-# Poisson case exact.
-TWO_QUEUE_EXACT_TOL = 1e-9
-
 
 @dataclass(frozen=True, slots=True)
 class TestBedCase:
@@ -190,10 +185,13 @@ def materialize_case(
     the total load equals ``case.rho``; a one-queue case ignores both
     imbalances and carries the whole load.  With more than one queue, a
     rate imbalance above about 2**53 (9.0e15) cancels the last rate to
-    zero or less and raises `InvalidInput`.  Each queue's mean switch-over is
-    ``switchover_service_ratio`` times its mean service time.  Interarrival
-    density values are evaluated exactly for the fitted laws, matching what
-    the simulator draws from.
+    zero or less.  A service imbalance or switch-over ratio that overflows,
+    a load that leaves a mean service time below the smallest normal
+    float, and a switch-over ratio that rounds every switch-over time to
+    zero are out of range too.  Each raises `InvalidInput` naming its field.
+    Each queue's mean switch-over is ``switchover_service_ratio`` times its
+    mean service time.  Interarrival density values are evaluated exactly
+    for the fitted laws, matching what the simulator draws from.
     """
     n = case.n_queues
     if n == 1:
@@ -213,8 +211,26 @@ def materialize_case(
             1.0 + (case.imbalance_service - 1.0) * k / (n - 1)
             for k in range(n)
         ]
-    scale = case.rho / sum(r * s for r, s in zip(rates, shapes))
+    unscaled = sum(r * s for r, s in zip(rates, shapes))
+    if not math.isfinite(unscaled):
+        raise InvalidInput(
+            f"imbalance_service {case.imbalance_service!r} is too large for "
+            f"{n} queues: the load of the unscaled service times is not finite"
+        )
+    scale = case.rho / unscaled
+    if not scale >= sys.float_info.min:
+        raise InvalidInput(
+            f"rho {case.rho!r} is too small for {n} queues with imbalance_service "
+            f"{case.imbalance_service!r}: the smallest mean service time is "
+            f"{scale!r}, below the smallest normal float"
+        )
     services = [scale * s for s in shapes]
+    switchovers = [case.switchover_service_ratio * b for b in services]
+    if not 0.0 < max(switchovers) < math.inf:
+        raise InvalidInput(
+            f"switchover_service_ratio {case.switchover_service_ratio!r} is out "
+            f"of range: the largest mean switch-over time is {max(switchovers)!r}"
+        )
     rho = sum(r * b for r, b in zip(rates, services))
     queues = tuple(
         QueueSpec(
@@ -222,40 +238,13 @@ def materialize_case(
             scv_service=case.scv_service,
             mean_interarrival_at_saturation=rho / rates[i],
             scv_interarrival=case.scv_interarrival,
-            mean_switchover=case.switchover_service_ratio * services[i],
+            mean_switchover=switchovers[i],
             scv_switchover=case.scv_switchover,
             density_mode=DensityMode.EXACT,
         )
         for i in range(n)
     )
     return SystemSpec(queues=queues, discipline=discipline, rho=rho)
-
-
-def is_exact_case(case: TestBedCase, discipline: Discipline) -> bool:
-    """Whether the interpolation is provably exact for this grid case.
-
-    Requires exponential interarrival times.  Fully symmetric cases are
-    exact under both disciplines; a two-queue case with equal service laws
-    is also exact under exhaustive service when the load satisfies the
-    known balance constraint between rate imbalance and the
-    switch-over/service ratio.
-    """
-    if case.scv_interarrival != 1.0:
-        return False
-    if case.imbalance_interarrival == 1.0 and case.imbalance_service == 1.0:
-        return True
-    if (
-        discipline is not Discipline.EXHAUSTIVE
-        or case.n_queues != 2
-        or case.imbalance_service != 1.0
-    ):
-        return False
-    # Equal mean services make the load ratio equal the rate imbalance.
-    load_ratio = case.imbalance_interarrival
-    target = (1.0 + load_ratio**2) / (2.0 * load_ratio) - (
-        case.scv_switchover / (1.0 + case.scv_service)
-    ) * case.switchover_service_ratio
-    return abs(case.rho - target) <= TWO_QUEUE_EXACT_TOL
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 """Checks that only tests need: realized moments and the density at zero
 of a fitted law, the density at zero the model takes for an interarrival
 scv, the mean error of a filtered set of test-bed records, the systems of the
-command line's presets, the v1 document of a system, and a reference
-derivation of a system's moment aggregates."""
+command line's presets, the v1 document of a system, a reference
+derivation of a system's moment aggregates, and the test-bed cases on which
+the interpolation is exact."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from enum import Enum
 from typing import Callable, Optional
 
 from pollwait import cli
-from pollwait.approx import Method
+from pollwait.approx import Method, mean_wait
 from pollwait.fitting import DistKind, FittedDistribution, fit_two_moments
 from pollwait.model import (
     DensityMode,
@@ -21,7 +23,15 @@ from pollwait.model import (
     SystemSpec,
     derive_moments,
 )
-from pollwait.testbed import ErrorRecord, ErrorReport, _mean
+from pollwait.testbed import (
+    ErrorRecord,
+    ErrorReport,
+    TestBedCase,
+    _mean,
+    materialize_case,
+)
+
+from _exact import exact_mean_wait
 
 
 def realized_moments(dist: FittedDistribution) -> tuple[float, float]:
@@ -169,3 +179,51 @@ def reference_moments(spec: SystemSpec) -> DerivedMoments:
         heavy_traffic_variance=ht_variance,
         density_at_zero=tuple(density(q) for q in queues),
     )
+
+
+def interpolation_error(spec: SystemSpec, exact: tuple[float, ...]) -> float:
+    """The interpolation's worst relative error over the queues of `spec`,
+    against the `exact` waits."""
+    approx = mean_wait(spec, Method.INTERPOLATION).mean_wait
+    return max(abs(a - e) / e for a, e in zip(approx, exact))
+
+
+@functools.cache
+def poisson_case_waits(
+    bed: Callable[[], list[TestBedCase]], discipline: Discipline
+) -> dict[int, tuple[SystemSpec, tuple[float, ...]]]:
+    """Each Poisson case of ``bed()`` by its index in the bed: its system
+    under `discipline` and the exact waits of that system.  Computed once
+    per bed and discipline, for every test that reads them."""
+    systems = {
+        index: materialize_case(case, discipline)
+        for index, case in enumerate(bed())
+        if case.scv_interarrival == 1.0
+    }
+    return {index: (spec, exact_mean_wait(spec)) for index, spec in systems.items()}
+
+
+def poisson_case_errors(
+    bed: Callable[[], list[TestBedCase]], discipline: Discipline
+) -> dict[int, float]:
+    """`interpolation_error` of each Poisson case of ``bed()``, by its index
+    in the bed."""
+    return {
+        index: interpolation_error(spec, exact)
+        for index, (spec, exact) in poisson_case_waits(bed, discipline).items()
+    }
+
+
+# The interpolation counts as exact on a case when every wait lies this
+# close, relatively, to the exact solve.  Off those cases the error is at
+# least 4.0e-6 on both Poisson beds.
+EXACT_REL_TOL = 1e-9
+
+
+def exact_cases(
+    bed: Callable[[], list[TestBedCase]], discipline: Discipline
+) -> list[int]:
+    """Indices in ``bed()`` of the Poisson cases on which the interpolation
+    is exact under `discipline`, in bed order."""
+    errors = poisson_case_errors(bed, discipline)
+    return [index for index, error in errors.items() if error <= EXACT_REL_TOL]

@@ -31,9 +31,10 @@ from pollwait import (
     standard_bed,
 )
 from pollwait.sim import SimConfig, simulate
-from pollwait.testbed import is_exact_case, run_comparison
+from pollwait.testbed import run_comparison
 
 from _helpers import (
+    exact_cases,
     law_density_at_zero,
     mean_abs_error,
     model_density,
@@ -297,7 +298,7 @@ def sampled_report():
 def test_criterion_6_exact_cases_and_error_trend(sampled_report):
     with criterion("criterion 6 (exact cases and error trend)"):
         cases = standard_bed()
-        exact = [i for i, case in enumerate(cases) if is_exact_case(case, EXH)]
+        exact = exact_cases(standard_bed, EXH)
         assert len(exact) == 193
         assert all(cases[i].scv_interarrival == 1.0 for i in exact)
         asymmetric = [

@@ -384,6 +384,8 @@ def test_every_valid_system_can_be_simulated(spec):
     assert simulate(spec, cfg).replications == 1
 
 
+_CASE_FIELDS = {f.name for f in dataclasses.fields(TestBedCase)}
+
 # Any valid grid case: 1-8 queues, every scv a law is fitted to, and
 # imbalances and switch-over ratios up to 1.7e308.
 _TEST_BED_CASES = st.builds(
@@ -402,5 +404,10 @@ _TEST_BED_CASES = st.builds(
 @PROPERTY_SETTINGS
 @given(_TEST_BED_CASES, st.sampled_from(list(Discipline)))
 def test_a_valid_case_materializes_or_is_invalid_input(case, discipline):
-    with contextlib.suppress(InvalidInput):
-        assert materialize_case(case, discipline).n == case.n_queues
+    # A case that cannot be built says which of its own fields is at fault.
+    try:
+        spec = materialize_case(case, discipline)
+    except InvalidInput as exc:
+        assert str(exc).split(" ", 1)[0] in _CASE_FIELDS, str(exc)
+    else:
+        assert spec.n == case.n_queues

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "__version__",
     "derive_moments",
     "fit_two_moments",
-    "is_exact_case",
     "materialize_case",
     "mean_wait",
     "pcl_residual",
@@ -107,7 +106,6 @@ def test_report_tables_replace_the_table_helpers():
         "ErrorReport",
         "TestBedCase",
         "high_variation_poisson_bed",
-        "is_exact_case",
         "materialize_case",
         "poisson_bed",
         "report_from_csv",

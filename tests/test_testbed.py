@@ -1,5 +1,5 @@
-"""Tests for the accuracy grid: case enumeration, materialization,
-exact-case detection and the comparison runner."""
+"""Tests for the accuracy grid: case enumeration, materialization, the
+cases on which the interpolation is exact, and the comparison runner."""
 
 import csv
 import dataclasses
@@ -14,7 +14,6 @@ from pollwait import (
     InvalidInput,
     Method,
     TestBedCase,
-    is_exact_case,
     materialize_case,
     poisson_bed,
     sampled_bed,
@@ -35,7 +34,15 @@ from pollwait.testbed import (
     write_report_files,
 )
 
-from _helpers import mean_abs_error, preset_spec
+from _exact import exact_mean_wait
+from _helpers import (
+    EXACT_REL_TOL,
+    exact_cases,
+    interpolation_error,
+    mean_abs_error,
+    poisson_case_errors,
+    preset_spec,
+)
 
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
@@ -165,6 +172,45 @@ def test_materialize_rejects_a_rate_spread_that_cancels(n, imbalance):
         materialize_case(case)
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (
+            TestBedCase(8, 0.5, 1, 1, 1, 1, 1.7e308, 1),
+            "imbalance_service 1.7e+308 is too large for 8 queues",
+        ),
+        (
+            TestBedCase(
+                2,
+                0.524896213036376,
+                1,
+                1,
+                1,
+                163244138285300.4,
+                8.041801326244722e299,
+                1.3435607606310264e298,
+            ),
+            "switchover_service_ratio 1.3435607606310264e+298 is out of range",
+        ),
+        (
+            TestBedCase(2, 5e-324, 0, 0, 0, 1, 1, 1),
+            "rho 5e-324 is too small for 2 queues with imbalance_service 1.0",
+        ),
+        (
+            TestBedCase(2, 0.5, 1, 1, 1, 1, 1, 5e-324),
+            "switchover_service_ratio 5e-324 is out of range",
+        ),
+    ],
+    ids=["service", "switchover", "small-rho", "small-switchover"],
+)
+def test_materialize_names_the_field_out_of_range(case, message):
+    # The sum of rate times unscaled service or a mean switch-over time
+    # overflows, or a mean service or switch-over time underflows; the
+    # error names the case's field, not a queue's.
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        materialize_case(case)
+
+
 def test_materialize_balanced_case_is_symmetric():
     case = TestBedCase(3, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     spec = materialize_case(case, GAT)
@@ -173,34 +219,55 @@ def test_materialize_balanced_case_is_symmetric():
     assert len(fractions) == 1
 
 
-def test_exact_case_detection_on_standard_bed():
-    cases = standard_bed()
-    exhaustive = [i for i, case in enumerate(cases) if is_exact_case(case, EXH)]
-    gated = [i for i, case in enumerate(cases) if is_exact_case(case, GAT)]
-    assert len(exhaustive) == 193
-    assert len(gated) == 192
-    assert all(cases[i].scv_interarrival == 1.0 for i in exhaustive)
-    # Gated exactness needs full symmetry; exhaustive admits exactly one
-    # imbalanced two-queue case where the load hits the balance constraint.
-    asymmetric = [i for i in exhaustive if cases[i].imbalance_interarrival != 1.0]
-    assert len(asymmetric) == 1
-    special = cases[asymmetric[0]]
-    assert special == TestBedCase(2, 0.1, 1.0, 1.0, 1.0, 5.0, 1.0, 5.0)
+@pytest.mark.parametrize(
+    "bed, counts, asymmetric_cases",
+    [
+        (standard_bed, (193, 192), [TestBedCase(2, 0.1, 1.0, 1.0, 1.0, 5.0, 1.0, 5.0)]),
+        (high_variation_poisson_bed, (192, 192), []),
+    ],
+    ids=["standard", "high-variation"],
+)
+def test_exact_cases_of_the_poisson_beds(bed, counts, asymmetric_cases):
+    cases = bed()
+    exhaustive = exact_cases(bed, EXH)
+    gated = exact_cases(bed, GAT)
+    assert (len(exhaustive), len(gated)) == counts
+    # Off the exact cases the interpolation is clearly off, not borderline.
+    for discipline in (EXH, GAT):
+        errors = poisson_case_errors(bed, discipline).values()
+        assert min(e for e in errors if e > EXACT_REL_TOL) >= 1e-6
+    # Gated exactness needs full symmetry; exhaustive service admits one
+    # imbalanced two-queue case on the standard bed, where the load meets a
+    # balance condition between rate imbalance and switch-over/service ratio.
+    asymmetric = [
+        i
+        for i in exhaustive
+        if (cases[i].imbalance_interarrival, cases[i].imbalance_service) != (1.0, 1.0)
+    ]
+    assert [cases[i] for i in asymmetric] == asymmetric_cases
     assert set(gated) == set(exhaustive) - set(asymmetric)
+
+
+def _case_error(case, discipline):
+    spec = materialize_case(case, discipline)
+    return interpolation_error(spec, exact_mean_wait(spec))
 
 
 def test_two_queue_exact_constraint():
     special = TestBedCase(2, 0.1, 1.0, 1.0, 1.0, 5.0, 1.0, 5.0)
-    assert is_exact_case(special, EXH)
-    assert not is_exact_case(special, GAT)
+    assert _case_error(special, EXH) < EXACT_REL_TOL
+    assert _case_error(special, GAT) >= 1e-4
     # Move any ingredient of the constraint and exactness is lost.
     for wrong in (
         TestBedCase(2, 0.3, 1.0, 1.0, 1.0, 5.0, 1.0, 5.0),
-        TestBedCase(2, 0.1, 0.25, 1.0, 1.0, 5.0, 1.0, 5.0),
         TestBedCase(2, 0.1, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0),
         TestBedCase(3, 0.1, 1.0, 1.0, 1.0, 5.0, 1.0, 5.0),
     ):
-        assert not is_exact_case(wrong, EXH)
+        assert _case_error(wrong, EXH) >= 1e-4
+    # Non-Poisson arrivals have no exact solve to compare with.
+    bursty = materialize_case(TestBedCase(2, 0.1, 0.25, 1.0, 1.0, 5.0, 1.0, 5.0))
+    with pytest.raises(InvalidInput, match="needs Poisson arrivals"):
+        exact_mean_wait(bursty)
 
 
 SMOKE_CFG = SimConfig(

@@ -3,12 +3,14 @@
     python3 tools/mutate.py
 
 Each mutation replaces one exact snippet of one file with its replacement.
-The script copies the repository to a temporary directory, runs every named
-test once on the unmutated copy (they must pass, or it stops with exit
-code 2), then applies each mutation in turn and runs only its tests.  A
-mutation is killed when one of them fails or errors, or when they run
-longer than twice the unmutated run of every named test plus 30 s (a
-mutated loop can run forever), and survives when all pass.  Each status,
+The script copies the repository to a temporary directory.  For each
+mutation it first runs the mutation's own tests, alone, on the unmutated
+copy: they must pass, or it stops with exit code 2, so a test cannot pass
+there only because another test ran before it.  Then it applies the
+mutation and runs the same tests again.  A mutation is killed when one of
+them fails or errors, or when they run longer than twice their unmutated
+run plus 30 s (a mutated loop can run forever), and survives when all pass.
+Mutations that name the same tests share one unmutated run.  Each status,
 with the failing test ids, is written to ``results/mutation.json``; the
 exit code is 1 if any mutation survived.
 """
@@ -71,13 +73,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         copy = os.path.join(scratch, "repo")
         shutil.copytree(ROOT, copy, ignore=_SKIP)
-        baseline = list(dict.fromkeys(t for m in mutations for t in m["tests"]))
-        begin = time.monotonic()
-        passed, failed = _run_tests(copy, baseline)
-        if not passed:
-            print(f"unmutated tests fail: {failed}", file=sys.stderr)
-            return 2
-        timeout = 2.0 * (time.monotonic() - begin) + 30.0
+        timeouts: dict[tuple[str, ...], float] = {}
         for mutation in mutations:
             path = os.path.join(copy, mutation["file"])
             with open(path) as handle:
@@ -85,6 +81,15 @@ def main() -> int:
             if source.count(mutation["snippet"]) != 1:
                 print(f"{mutation['name']}: snippet not found once", file=sys.stderr)
                 return 2
+            tests = tuple(mutation["tests"])
+            if tests not in timeouts:
+                begin = time.monotonic()
+                passed, failed = _run_tests(copy, list(tests))
+                if not passed:
+                    print(f"{mutation['name']}: unmutated tests fail: {failed}", file=sys.stderr)
+                    return 2
+                timeouts[tests] = 2.0 * (time.monotonic() - begin) + 30.0
+            timeout = timeouts[tests]
             with open(path, "w") as handle:
                 handle.write(source.replace(mutation["snippet"], mutation["replacement"]))
             passed, failed = _run_tests(copy, mutation["tests"], timeout)
