@@ -109,6 +109,26 @@ def _choice(kind: type[Enum], value, label: str) -> Enum:
         ) from None
 
 
+def _store(obj, fields) -> None:
+    # Coerce each (label, kind) field of a frozen instance to a float, int,
+    # tuple or Enum member.  A value already in stored form, a plain `kind`
+    # and nonzero if a float, is exactly what its coercion would return, so
+    # it is kept as the object given.
+    for label, kind in fields:
+        value = getattr(obj, label)
+        if type(value) is kind and (kind is not float or value):
+            continue
+        if kind is float:
+            value = _number(value, label)
+        elif kind is int:
+            value = _integer(value, label)
+        elif kind is tuple:
+            value = tuple(value)
+        else:
+            value = _choice(kind, value, label)
+        object.__setattr__(obj, label, value)
+
+
 @dataclass(frozen=True, slots=True)
 class QueueSpec:
     """Two-moment description of one queue of the cycle.
@@ -144,14 +164,9 @@ class QueueSpec:
     density_value: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for label in _QUEUE_NUMBERS:
-            value = _number(getattr(self, label), label)
-            object.__setattr__(self, label, value)
-        mode = _choice(DensityMode, self.density_mode, "density_mode")
-        object.__setattr__(self, "density_mode", mode)
+        _store(self, _QUEUE_FIELDS)
         if self.density_value is not None:
-            value = _number(self.density_value, "density_value")
-            object.__setattr__(self, "density_value", value)
+            _store(self, (("density_value", float),))
         if not (math.isfinite(self.mean_service) and self.mean_service > 0.0):
             raise InvalidInput(
                 f"mean_service must be positive, got {self.mean_service!r}"
@@ -173,7 +188,7 @@ class QueueSpec:
             _check_fittable(getattr(self, label), label)
 
         value = self.density_value
-        if mode is DensityMode.USER_VALUE:
+        if self.density_mode is DensityMode.USER_VALUE:
             if value is None or not (math.isfinite(value) and value >= 0.0):
                 raise InvalidInput(
                     "density_value must be a finite value >= 0 with "
@@ -190,8 +205,10 @@ class QueueSpec:
         return self.mean_service / self.mean_interarrival_at_saturation
 
 
-# The float fields of QueueSpec: all but the density source.
-_QUEUE_NUMBERS = [f.name for f in dataclasses.fields(QueueSpec)][:6]
+# The fields _store coerces, but density_value, which may be None.
+_QUEUE_FIELDS = [(f.name, float) for f in dataclasses.fields(QueueSpec)[:6]]
+_QUEUE_FIELDS.append(("density_mode", DensityMode))
+_SYSTEM_FIELDS = (("queues", tuple), ("discipline", Discipline), ("rho", float))
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,11 +234,8 @@ class SystemSpec:
             raise InvalidInput("queues must be a tuple or list of QueueSpec")
         if not queues:
             raise InvalidInput("a system needs at least one queue")
-        object.__setattr__(self, "queues", tuple(queues))
-        discipline = _choice(Discipline, self.discipline, "discipline")
-        object.__setattr__(self, "discipline", discipline)
-        rho = _number(self.rho, "rho")
-        object.__setattr__(self, "rho", rho)
+        _store(self, _SYSTEM_FIELDS)
+        rho = self.rho
         if not (math.isfinite(rho) and 0.0 <= rho < 1.0):
             raise InvalidInput(f"rho must satisfy 0 <= rho < 1, got {rho!r}")
         total = sum(q.load_fraction for q in queues)

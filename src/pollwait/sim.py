@@ -58,7 +58,7 @@ from .fitting import (
     fit_two_moments,
     sample_array,
 )
-from .model import Discipline, SystemSpec, _integer
+from .model import Discipline, SystemSpec, _store
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,9 +87,7 @@ class SimConfig:
     max_events: int = 500_000_000
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = _integer(getattr(self, field.name), field.name)
-            object.__setattr__(self, field.name, value)
+        _store(self, _CONFIG_FIELDS)
         if self.warmup_cycles < 0:
             raise InvalidInput("warmup_cycles must be >= 0")
         if self.batch_count < 2:
@@ -105,6 +103,9 @@ class SimConfig:
             raise InvalidInput("max_events must be positive")
         if self.base_seed < 0:
             raise InvalidInput(f"base_seed must be >= 0, got {self.base_seed}")
+
+
+_CONFIG_FIELDS = [(f.name, int) for f in dataclasses.fields(SimConfig)]
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .model import (
     SystemSpec,
     _choice,
     _integer,
-    _number,
+    _store,
 )
 from .sim import SimConfig, _customers_per_cycle, simulate
 
@@ -83,14 +83,14 @@ class TestBedCase:
     switchover_service_ratio: float
 
     def __post_init__(self) -> None:
-        n_queues = _integer(self.n_queues, "n_queues")
-        object.__setattr__(self, "n_queues", n_queues)
+        _store(self, (("n_queues", int),))
         for label in _FLOAT_FIELDS:
-            value = _number(getattr(self, label), label)
-            # nan and inf would pass the range checks below.
+            # Each is checked before the next is coerced: nan and inf would
+            # pass the range checks below.
+            _store(self, ((label, float),))
+            value = getattr(self, label)
             if not math.isfinite(value):
                 raise InvalidInput(f"{label} must be finite, got {value!r}")
-            object.__setattr__(self, label, value)
         if self.n_queues < 1:
             raise InvalidInput(f"n_queues must be >= 1, got {self.n_queues}")
         if not 0.0 < self.rho < 1.0:
@@ -232,19 +232,16 @@ def materialize_case(
             f"of range: the largest mean switch-over time is {max(switchovers)!r}"
         )
     rho = sum(r * b for r, b in zip(rates, services))
+    # Once per case, as an enum member lookup runs Python code; positional
+    # arguments, in QueueSpec's field order, bind faster than keywords.
+    mode = DensityMode.EXACT
+    scv_a, scv_b = case.scv_interarrival, case.scv_service
+    scv_s = case.scv_switchover
     queues = tuple(
-        QueueSpec(
-            mean_service=services[i],
-            scv_service=case.scv_service,
-            mean_interarrival_at_saturation=rho / rates[i],
-            scv_interarrival=case.scv_interarrival,
-            mean_switchover=switchovers[i],
-            scv_switchover=case.scv_switchover,
-            density_mode=DensityMode.EXACT,
-        )
-        for i in range(n)
+        QueueSpec(service, scv_b, rho / rate, scv_a, switchover, scv_s, mode)
+        for rate, service, switchover in zip(rates, services, switchovers)
     )
-    return SystemSpec(queues=queues, discipline=discipline, rho=rho)
+    return SystemSpec(queues, discipline, rho)
 
 
 @dataclass(frozen=True)

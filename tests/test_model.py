@@ -281,6 +281,8 @@ def test_queues_coerced_to_tuple():
     )
     assert isinstance(spec.queues, tuple)
     assert spec.n == 2
+    queues = (make_queue(), make_queue())
+    assert SystemSpec(queues, Discipline.EXHAUSTIVE, 0.5).queues is queues
 
 
 def test_scale_to_load():
@@ -288,6 +290,7 @@ def test_scale_to_load():
     scaled = scale_to_load(spec, 0.9)
     assert scaled.rho == 0.9
     assert scaled.queues == spec.queues
+    assert scaled.queues is spec.queues
     assert scaled.discipline is spec.discipline
     with pytest.raises(InvalidInput, match="rho must satisfy 0 <= rho < 1"):
         scale_to_load(spec, 1.0)

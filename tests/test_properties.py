@@ -9,7 +9,9 @@ give the same output as the original.
 
 Spec files round-trip every valid system, and a demo spec file with one
 defect is rejected with exit code 2 and a one-line error.  A value that
-a spec file rejects is rejected by the constructor of its field too.
+a spec file rejects is rejected by the constructor of its field too, and
+every coerced field stores exactly what its coercion returns, whether or
+not the constructor keeps the value as given.
 A queue takes an scv exactly when a law can be fitted to it, so every
 valid system can be simulated.
 
@@ -19,12 +21,14 @@ runs the same cases every time.
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -47,6 +51,7 @@ from pollwait import (
     simulate,
 )
 from pollwait.approx import _derive_system
+from pollwait.model import _choice, _integer, _number
 from pollwait.cli import (
     _QUEUE_KEYS,
     _QUEUE_REQUIRED,
@@ -328,6 +333,94 @@ def test_constructor_rejects_what_a_spec_file_rejects(owner, field, value):
         path = _write_json(directory, data)
         with pytest.raises(InvalidInput):
             load_spec_file(path)
+
+
+class _Float(float):
+    """A float subclass, which is stored as a plain float."""
+
+
+# Values of every kind the number and integer coercions tell apart.
+_COERCED_VALUES = (
+    st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 10**400, -(10**400)]
+        + [_Float(0.5), _Float(-0.0), True, np.True_, "0.5", None]
+    )
+    | st.floats()
+    | st.integers(-(10**400), 10**400)
+    | st.floats(width=16).map(np.float16)
+    | st.floats(width=32).map(np.float32)
+    | st.floats().map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers(0, 255).map(np.uint8)
+)
+
+
+def _choices(kind):
+    # A member, its value string, a legacy spelling and junk.
+    return st.sampled_from(
+        list(kind) + [m.value for m in kind] + ["exact-h2", "EXACT", "junk", 1, None]
+    )
+
+
+# Each coerced field type: its coercion and the values to give the field.
+_COERCIONS = {
+    "float": (_number, _COERCED_VALUES),
+    # None is how a queue says it has no density value.
+    "Optional[float]": (_number, _COERCED_VALUES.filter(lambda v: v is not None)),
+    "int": (_integer, _COERCED_VALUES),
+}
+for _kind in (DensityMode, Discipline):
+    _COERCIONS[_kind.__name__] = (
+        functools.partial(_choice, _kind),
+        _choices(_kind),
+    )
+
+_VALID = {
+    QueueSpec: preset_spec("three-queue", 0.5).queues[1],
+    SystemSpec: preset_spec("three-queue", 0.5),
+    TestBedCase: TestBedCase(3, 0.5, 2.0, 1.0, 1.0, 5.0, 5.0, 1.0),
+    SimConfig: SimConfig(),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        pytest.param(kind, f, id=f"{kind.__name__}.{f.name}")
+        for kind in _VALID
+        for f in dataclasses.fields(kind)
+        if f.type in _COERCIONS
+    ],
+)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_a_field_stores_exactly_what_its_coercion_returns(kind, field, data):
+    # Whether or not the constructor keeps the value as given, it raises the
+    # coercion's own message, or stores what the coercion returns, or fails
+    # a later range check.
+    coerce, values = _COERCIONS[field.type]
+    value = data.draw(values)
+    kwargs = {f.name: getattr(_VALID[kind], f.name) for f in dataclasses.fields(kind)}
+    if field.name == "density_value":
+        kwargs["density_mode"] = DensityMode.USER_VALUE
+    kwargs[field.name] = value
+    try:
+        expected = coerce(value, field.name)
+    except InvalidInput as exc:
+        with pytest.raises(InvalidInput) as raised:
+            kind(**kwargs)
+        assert str(raised.value) == str(exc)
+        return
+    try:
+        stored = getattr(kind(**kwargs), field.name)
+    except InvalidInput:
+        return
+    assert type(stored) is type(expected)
+    if type(expected) is float:
+        assert stored == expected or (math.isnan(stored) and math.isnan(expected))
+        assert math.copysign(1.0, stored) == math.copysign(1.0, expected)
+    else:
+        assert stored == expected
 
 
 def _fits(scv):
