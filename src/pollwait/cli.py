@@ -18,9 +18,11 @@ visit order.  Unknown fields and non-finite numbers are rejected.
 the code that reads a file.  ``testbed --jobs`` must be at least 1.
 
 Exit codes: 0 success, 2 ``InvalidInput``, 3 ``NumericalBudget``, 4
-``OSError``, and 141 (128 + SIGPIPE), with nothing on stderr, when the
-reader of standard output closes it early; any other exception is a
-program fault and keeps its traceback.
+``OSError``, each after one ``error:`` line, and 141 (128 + SIGPIPE),
+with nothing on stderr, when the reader of standard output closes it
+early.  A usage error that argparse finds prints the usage and
+``pollwait <command>: error: ...`` and raises ``SystemExit(2)`` out of
+`main`.  Any other exception is a program fault and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from .model import (
     derive_moments,  # noqa: F401
     scale_to_load,
 )
-from .sim import SimConfig, simulate
+from .sim import SimConfig, _check_budget, simulate
 from .testbed import (
+    _methods,
     high_variation_poisson_bed,
     poisson_bed,
     run_comparison,
@@ -71,9 +74,7 @@ _QUEUE_REQUIRED = [
 ]
 
 _EXIT_OK = 0
-_EXIT_INVALID = 2
-_EXIT_BUDGET = 3
-_EXIT_IO = 4
+_EXIT_CODES = {InvalidInput: 2, NumericalBudget: 3, OSError: 4}
 _EXIT_CLOSED_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
@@ -176,25 +177,16 @@ def _parse_rho_grid(text: str) -> list[float]:
             f"got {text!r}"
         )
     grid = [start + k * step for k in range(int(steps) + 1)]
-    for rho in grid:
-        if not 0.0 <= rho < 1.0:
-            raise InvalidInput(
-                f"--rho-grid value {rho!r} outside [0, 1)"
-            )
+    if grid[-1] >= 1.0:  # the values rise from start >= 0
+        raise InvalidInput(f"--rho-grid value {grid[-1]!r} outside [0, 1)")
     return grid
 
 
-def _parse_methods(text: str) -> list[Method]:
-    tokens = [token.strip() for token in text.split(",") if token.strip()]
-    known = [m.value for m in Method]
-    for token in tokens:
-        if token not in known:
-            raise InvalidInput(f"unknown method {token!r}; choose from {known}")
-    if not tokens:
-        raise InvalidInput("--methods must name at least one method")
-    if len(set(tokens)) < len(tokens):
-        raise InvalidInput(f"--methods repeats a method: {text!r}")
-    return [Method(token) for token in tokens]
+def _parse_methods(text: str) -> tuple[Method, ...]:
+    try:
+        return _methods([token.strip() for token in text.split(",") if token.strip()])
+    except InvalidInput as exc:
+        raise InvalidInput(f"--methods: {exc} (given {text!r})") from exc
 
 
 # Each preset is the v1 document that demo-spec prints for it.  Its floats
@@ -322,9 +314,9 @@ def _cmd_sweep(args) -> int:
     grid = _parse_rho_grid(args.rho_grid)
     methods = _parse_methods(args.methods)
     base = _resolve_spec(args, rho=grid[0])
-    # One run configuration serves every load.  It and --out are checked
-    # before any work: --out must not be empty, its directory must take a
-    # file (the probe leaves none) and --out must not be a directory.
+    # One run configuration serves every load.  It, --out and each load's
+    # event budget are checked before any work: --out must not be empty or
+    # a directory, and its directory must take a file (probes leave none).
     cfg = None
     if args.with_sim:
         cfg = SimConfig(
@@ -343,6 +335,9 @@ def _cmd_sweep(args) -> int:
             pass
         if os.path.isdir(args.out):
             raise IsADirectoryError(f"--out names a directory: {args.out}")
+    if cfg is not None:
+        for spec in (scale_to_load(base, rho) for rho in grid if rho > 0.0):
+            _check_budget(spec, cfg)
     lines = ["rho,queue,method,mean_wait,ci_half_width"]
     for rho in grid:
         spec = scale_to_load(base, rho)
@@ -465,6 +460,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--rho", type=float, help="override the total load"
             )
 
+    def add_methods_argument(p):
+        p.add_argument(
+            "--methods", default=Method.INTERPOLATION.value,
+            help="comma-separated method names",
+        )
+
     p = sub.add_parser("analyze", help="closed-form estimates for one load")
     add_spec_arguments(p)
     p.add_argument(
@@ -484,11 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="load grid as start:stop:step, e.g. 0.05:0.95:0.05",
     )
-    p.add_argument(
-        "--methods",
-        default=Method.INTERPOLATION.value,
-        help="comma-separated method names",
-    )
+    add_methods_argument(p)
     p.add_argument(
         "--with-sim",
         action="store_true",
@@ -524,10 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--subset", default="sampled", choices=sorted(_SUBSETS)
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--methods", default=Method.INTERPOLATION.value,
-        help="comma-separated method names",
-    )
+    add_methods_argument(p)
     p.add_argument("--jobs", type=int, help="worker processes")
     p.add_argument("--seed", type=int, default=bed_defaults["base_seed"])
     p.add_argument(
@@ -564,15 +558,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return _EXIT_CLOSED_PIPE
-    except NumericalBudget as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BUDGET
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -253,6 +253,16 @@ def _expected_events(spec: SystemSpec, cfg: SimConfig) -> float:
     return cfg.replications * cycles * per_cycle
 
 
+def _check_budget(spec: SystemSpec, cfg: SimConfig, label: str = "") -> None:
+    # Refuse a run expected to exceed its event budget; `label` leads the message.
+    expected = _expected_events(spec, cfg)
+    if expected > cfg.max_events:
+        raise NumericalBudget(
+            f"{label}run expects about {expected:.2e} events, over the budget of "
+            f"{cfg.max_events}; raise max_events or shorten the run"
+        )
+
+
 # The standard normal 0.975 quantile, and the coefficients of the
 # Cornish-Fisher expansion of the Student-t quantile in powers of 1/df
 # around it: the four terms of Abramowitz & Stegun 26.7.5, then the next.
@@ -360,12 +370,7 @@ def simulate(
     """
     if spec.rho == 0.0:
         raise InvalidInput("simulation requires rho > 0")
-    expected = _expected_events(spec, cfg)
-    if expected > cfg.max_events:
-        raise NumericalBudget(
-            f"run expects about {expected:.2e} events, over the budget of "
-            f"{cfg.max_events}; raise max_events or shorten the run"
-        )
+    _check_budget(spec, cfg)
 
     from numpy.random import SeedSequence
 

@@ -4,7 +4,7 @@ The standard grid crosses queue counts, loads, variability levels and two
 kinds of imbalance into 2304 cases.  Each case is materialized into a
 concrete system with linearly spread arrival rates (largest first) and
 linearly increasing mean service times, scaled so the per-queue loads sum
-to the case load and the overall mean interarrival time is one.
+to the case load and the per-queue arrival rates average one.
 
 ``run_comparison`` simulates each case, evaluates the requested
 estimators, and collects signed relative errors per queue.  Cases whose
@@ -42,7 +42,7 @@ from .model import (
     _integer,
     _store,
 )
-from .sim import SimConfig, _customers_per_cycle, simulate
+from .sim import SimConfig, _check_budget, _customers_per_cycle, simulate
 
 __all__ = [
     "TestBedCase",
@@ -382,6 +382,19 @@ def _run_case(
     return records
 
 
+def _methods(methods) -> tuple[Method, ...]:
+    if isinstance(methods, str):
+        raise InvalidInput(f"methods must be a sequence of methods, got {methods!r}")
+    methods = tuple(_choice(Method, m, "method") for m in methods)
+    if not methods:
+        raise InvalidInput("methods must name at least one method")
+    if len(set(methods)) < len(methods):
+        raise InvalidInput(
+            f"methods must not repeat, got {[m.value for m in methods]}"
+        )
+    return methods
+
+
 def run_comparison(
     cases: Sequence[TestBedCase],
     methods: Sequence[Method],
@@ -417,23 +430,16 @@ def run_comparison(
     least 1, and `base_seed` one of at least 0, with or without `cfg`.
     Every setting is checked before any case runs, so a run of no cases
     checks them all and returns an empty report.  Then every case is
-    built, sized and seeded before any case runs, so a case that cannot
-    be built raises before any simulation.
+    built, sized, seeded and checked against its event budget before any
+    case runs, so a case that cannot be built, or one over its budget
+    (`NumericalBudget` naming ``cases[i]``), raises before any simulation.
 
     Returns
     -------
     ErrorReport
     """
     discipline = _choice(Discipline, discipline, "discipline")
-    if isinstance(methods, str):
-        raise InvalidInput(f"methods must be a sequence of methods, got {methods!r}")
-    methods = tuple(_choice(Method, m, "method") for m in methods)
-    if not methods:
-        raise InvalidInput("methods must name at least one method")
-    if len(set(methods)) < len(methods):
-        raise InvalidInput(
-            f"methods must not repeat, got {[m.value for m in methods]}"
-        )
+    methods = _methods(methods)
     replications = _integer(replications, "replications")
     target_customers = _integer(target_customers, "target_customers")
     base_seed = _integer(base_seed, "base_seed")
@@ -452,6 +458,7 @@ def run_comparison(
         spec = materialize_case(case, discipline)
         size = cfg or _auto_config(spec, target_customers, replications)
         seed = _case_seed(base_seed, index)
+        _check_budget(spec, size, f"cases[{index}]: ")
         runs.append((index, case, spec, dataclasses.replace(size, base_seed=seed)))
     run_case = functools.partial(_run_case, methods)
     if jobs == 1 or len(runs) <= 1:

@@ -15,6 +15,7 @@ import pollwait
 from pollwait import (
     DensityMode,
     Discipline,
+    InvalidInput,
     Method,
     SimConfig,
     mean_wait,
@@ -544,7 +545,45 @@ def test_sweep_unknown_method(capsys):
         "bogus",
     )
     assert code == 2
-    assert "unknown method" in err
+    assert "--methods: method must be one of" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "testbed"])
+@pytest.mark.parametrize(
+    "text, methods",
+    [
+        ("interpolation,bogus", ["interpolation", "bogus"]),
+        (" , ", []),
+        ("lt-only, lt-only", ["lt-only", "lt-only"]),
+    ],
+    ids=["unknown", "empty", "repeat"],
+)
+def test_methods_flag_prints_the_run_comparison_message(
+    capsys, tmp_path, command, text, methods
+):
+    # Both commands check --methods by run_comparison's rule: the same
+    # message, after the flag, with the text given.
+    with pytest.raises(InvalidInput) as exc:
+        run_comparison([], methods, Discipline.EXHAUSTIVE)
+    if command == "sweep":
+        argv = ["sweep", "--preset", "three-queue", "--rho-grid", "0.5:0.5:1"]
+    else:
+        argv = ["testbed", "--discipline", "exhaustive", "--jobs", "1"]
+        argv += ["--out", str(tmp_path / "bed")]
+    code, out, err = run(capsys, *argv, "--methods", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: --methods: {exc.value} (given {text!r})\n"
+    assert not (tmp_path / "bed").exists()
+
+
+def test_sweep_grid_whose_last_value_rounds_to_one(capsys):
+    # start + 10 * step rounds to 1.0 although stop is below 1.
+    code, out, err = run(
+        capsys, "sweep", "--preset", "three-queue",
+        "--rho-grid", "0:0.9999999999999999:0.1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --rho-grid value 1.0 outside [0, 1)\n"
 
 
 def test_sweep_preset_adds_simulation_rows(capsys, tmp_path):
@@ -577,10 +616,11 @@ def test_sweep_preset_adds_simulation_rows(capsys, tmp_path):
         assert ci and math.isfinite(float(ci))
 
 
-def test_sweep_writes_its_whole_text_or_nothing(capsys, tmp_path):
+def test_sweep_writes_its_whole_text_or_nothing(capsys, tmp_path, monkeypatch):
     # The text ends in one newline, whether printed or written to --out.
     # A budget that ends the run at rho 0.9, after two loads are done,
-    # leaves no file behind.
+    # leaves no file behind.  Every load's budget is checked before the
+    # first, so here the third simulation is run under a smaller one.
     out_path = tmp_path / "sweep.csv"
     argv = [
         "sweep", "--preset", "three-queue", "--rho-grid", "0.3:0.9:0.3",
@@ -593,10 +633,35 @@ def test_sweep_writes_its_whole_text_or_nothing(capsys, tmp_path):
     assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
     assert out_path.read_text() == out
     out_path.unlink()
-    code, out, err = run(
-        capsys, *argv, "--max-events", "20000", "--out", str(out_path)
-    )
+    calls = []
+
+    def third_over_budget(spec, cfg, _real=pollwait.cli.simulate):
+        calls.append(spec.rho)
+        if len(calls) == 3:
+            cfg = dataclasses.replace(cfg, max_events=20_000)
+        return _real(spec, cfg)
+
+    monkeypatch.setattr(pollwait.cli, "simulate", third_over_budget)
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert (code, out, out_path.exists()) == (3, "", False)
+    assert "over the budget of 20000" in err
+    assert len(calls) == 3
+
+
+def test_sweep_checks_every_load_budget_before_any_estimate(
+    capsys, tmp_path, monkeypatch
+):
+    # Only the last load is over the budget; nothing is estimated,
+    # simulated, printed or written.
+    calls = record_estimates(monkeypatch)
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys, "sweep", "--preset", "three-queue", "--rho-grid", "0.3:0.9:0.3",
+        "--with-sim", "--sim-cycles", "1000", "--sim-reps", "1",
+        "--max-events", "20000", "--out", str(out_path),
+    )
+    assert (code, out, calls, out_path.exists()) == (3, "", [], False)
+    assert err.startswith("error: run expects about ") and err.count("\n") == 1
     assert "over the budget of 20000" in err
 
 
@@ -969,6 +1034,27 @@ def test_testbed_rejects_settings_before_creating_nested_out(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and "bogus" in err
     assert not (tmp_path / "bed").exists()
+
+
+def test_testbed_over_budget_exits_before_any_simulation(
+    capsys, tmp_path, monkeypatch
+):
+    # Every case is checked against its budget before any runs; --out is
+    # created by then and left empty.
+    def no_simulation(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(pollwait.testbed, "_run_case", no_simulation)
+    out_dir = tmp_path / "bed"
+    code, out, err = run(
+        capsys, "testbed", "--discipline", "exhaustive", "--jobs", "1",
+        "--out", str(out_dir),
+        "--reps", "10000", "--target-samples", "10000000000",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cases[0]: run expects about ")
+    assert err.count("\n") == 1
+    assert out_dir.is_dir() and not any(out_dir.iterdir())
 
 
 def test_testbed_sampled_run(capsys, tmp_path):

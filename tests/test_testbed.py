@@ -13,6 +13,7 @@ from pollwait import (
     Discipline,
     InvalidInput,
     Method,
+    NumericalBudget,
     TestBedCase,
     materialize_case,
     poisson_bed,
@@ -443,6 +444,28 @@ def test_a_case_that_cannot_be_built_fails_before_any_simulation(monkeypatch, jo
             [*SMOKE_CASES, bad], (Method.INTERPOLATION,), EXH, cfg=SMOKE_CFG, jobs=jobs
         )
     assert calls == []
+
+
+def test_a_case_over_its_budget_fails_before_any_simulation(monkeypatch):
+    # The budget is a per-case decision of the preparation loop: case 1's
+    # refusal names it, and case 0, within its budget, never runs.
+    def no_simulation(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(testbed, "_run_case", no_simulation)
+    cases = [
+        TestBedCase(2, 0.5, 1, 1, 1, 1, 1, 1),
+        TestBedCase(2, 0.999, 1, 1, 1, 1, 1, 1),
+    ]
+    cfg = SimConfig(
+        warmup_cycles=1000,
+        measured_cycles=100_000,
+        replications=3,
+        batch_count=10,
+        max_events=10**7,
+    )
+    with pytest.raises(NumericalBudget, match=r"^cases\[1\]: run expects about "):
+        run_comparison(cases, ["interpolation"], EXH, cfg, jobs=1)
 
 
 NO_CASE_RUN = dict(methods=["lt-only", Method.INTERPOLATION], discipline="gated")
