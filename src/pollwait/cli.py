@@ -20,9 +20,13 @@ the code that reads a file.  ``testbed --jobs`` must be at least 1.
 Exit codes: 0 success, 2 ``InvalidInput``, 3 ``NumericalBudget``, 4
 ``OSError``, each after one ``error:`` line, and 141 (128 + SIGPIPE),
 with nothing on stderr, when the reader of standard output closes it
-early.  A usage error that argparse finds prints the usage and
-``pollwait <command>: error: ...`` and raises ``SystemExit(2)`` out of
-`main`.  Any other exception is a program fault and keeps its traceback.
+early.  A usage error that argparse finds raises ``SystemExit(2)`` out
+of `main`: one that the command's parser finds (a missing or malformed
+value) prints the command's usage and ``pollwait <command>: error:
+...``; arguments that no parser takes (an unknown flag, an extra
+positional) print the top-level usage and ``pollwait: error:
+unrecognized arguments: ...``.  Any other exception is a program fault
+and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .approx import Method, mean_wait, pcl_residual, pcl_rhs
@@ -52,6 +57,8 @@ from .model import (
 from .sim import SimConfig, _check_budget, simulate
 from .testbed import (
     _methods,
+    _prepare_comparison,
+    _run_prepared,
     high_variation_poisson_bed,
     poisson_bed,
     run_comparison,
@@ -246,6 +253,32 @@ def _format_float(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` in one pass, for what commands print.
+
+    Walks plain dicts (str keys), lists and tuples, and writes plain strs,
+    ints and finite floats as json does; anything else (bools, None, nan,
+    infinities, subclasses) is one ``json.dumps(value)`` token.  `indent`
+    starts each line of the enclosing level.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return kind.__repr__(value)
+    inner = indent + "  "
+    if kind is dict and value:
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if (kind is list or kind is tuple) and value:
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 # Columns of the per-queue analyze table: name, text header, text width.
 # Only methods with interpolation constants fill k0, k1 and k2.
 _ANALYZE_COLUMNS = (
@@ -288,7 +321,7 @@ def _cmd_analyze(args) -> int:
             "pcl_residual": residual,
             "queues": queues,
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     elif args.format == "csv":
         print(",".join(["queue", *names]))
         for i, row in enumerate(rows):
@@ -387,7 +420,7 @@ def _cmd_simulate(args) -> int:
         "config": config,
         **estimates,
     }
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
     return _EXIT_OK
 
 
@@ -400,22 +433,20 @@ _SUBSETS = {
 
 
 def _cmd_testbed(args) -> int:
-    # Reject the settings, by a run of no cases, then an unusable output
-    # directory, before creating anything or burning simulation time.
+    # Check the settings and prepare every case, its event budget included,
+    # then reject an unusable output directory, before creating anything
+    # or burning simulation time.
     methods = _parse_methods(args.methods)
-    settings = dict(
-        base_seed=args.seed,
-        jobs=args.jobs,
-        target_customers=args.target_samples,
-        replications=args.reps,
+    prepared = _prepare_comparison(
+        _SUBSETS[args.subset](), methods, args.discipline, None,
+        base_seed=args.seed, jobs=args.jobs,
+        target_customers=args.target_samples, replications=args.reps,
     )
-    run_comparison([], methods, args.discipline, **settings)
     os.makedirs(args.out, exist_ok=True)
     with tempfile.NamedTemporaryFile(dir=args.out, prefix=".probe"):
         pass
 
-    cases = _SUBSETS[args.subset]()
-    report = run_comparison(cases, methods, args.discipline, **settings)
+    report = _run_prepared(*prepared)
     written = write_report_files(report, args.out)
     for line in summary_lines(report):
         print(line)
@@ -424,8 +455,12 @@ def _cmd_testbed(args) -> int:
 
 
 def _cmd_demo_spec(args) -> int:
-    print(json.dumps(_PRESETS[args.preset], indent=2))
+    print(_json_text(_PRESETS[args.preset]))
     return _EXIT_OK
+
+
+# Each command's own parser, by name; filled by _build_parser.
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 
 @functools.cache
@@ -541,12 +576,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_demo_spec)
 
+    _COMMANDS.update(sub.choices)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A named command is parsed by its own parser alone.  The top-level
+    # parser, which would hand the same strings to it, parses everything
+    # else and reports what the command's parser left over.
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+    if command is None or extra:
+        args = parser.parse_args(argv)
     try:
         code = args.func(args)
         # Raise a closed pipe here, not in the flush at interpreter exit.

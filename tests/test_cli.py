@@ -1,7 +1,7 @@
 """End-to-end tests of the command line front end via ``main(argv)``."""
 
+import argparse
 import dataclasses
-import functools
 import inspect
 import json
 import math
@@ -59,6 +59,90 @@ def test_no_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Help, usage errors found by each parser, left-over arguments and runs.
+_ARGVS = [
+    [],
+    ["-h"],
+    ["-h", "analyze"],
+    ["analyze", "-h"],
+    ["--help"],
+    ["simulate", "--help"],
+    ["bogus"],
+    ["analyze", "--preset", "three-queue", "--bogus"],
+    ["analyze", "--preset", "three-queue", "extra"],
+    ["analyze", "--preset", "three-queue", "extra", "more"],
+    ["analyze", "--preset", "three-queue", "--form", "json"],
+    ["analyze", "--preset=three-queue"],
+    ["analyze", "--preset", "three-queue", "--rho", "-0.5"],
+    ["analyze", "--preset", "three-queue", "--rho", "x"],
+    ["analyze", "--preset", "three-queue", "--method", "bogus"],
+    ["analyze", "--he"],
+    ["analyze", "--", "--preset"],
+    ["--", "analyze", "--preset", "three-queue"],
+    ["sweep", "--preset", "three-queue"],
+    ["sweep", "--preset", "three-queue", "--rho-grid", "0:0.2:0.1", "--rho", "0.5"],
+    ["testbed"],
+    ["testbed", "--discipline", "exhaustive", "--out", "x", "--subset", "bogus"],
+    ["demo-spec", "analyze"],
+    ["demo-spec", "--preset", "small-switchover"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_a_command_parses_as_under_the_top_level_parser(capsys, monkeypatch, argv):
+    # The named command's own parser gives the same output, messages and
+    # exit code as the top-level parser, which an empty command map forces.
+    def outcome():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    _build_parser()
+    assert pollwait.cli._COMMANDS
+    own = outcome()
+    monkeypatch.setattr(pollwait.cli, "_COMMANDS", {})
+    assert outcome() == own
+
+
+def test_a_named_command_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, "demo-spec")[0] == 0
+    assert calls == ["pollwait demo-spec"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "three-queue", "--format", "json"],
+        ["analyze", "--preset", "small-switchover", "--format", "json"],
+        ["simulate", "--preset", "three-queue", "--reps", "1", "--cycles",
+         "1000", "--warmup", "100", "--batches", "10"],
+        ["demo-spec"],
+        ["demo-spec", "--preset", "small-switchover"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_json_output_is_what_the_indent_encoder_prints(capsys, monkeypatch, argv):
+    printed = run(capsys, *argv)
+    assert printed[0] == 0
+    # simulate's half-width of the realized load is NaN with one replication.
+    assert argv[0] != "simulate" or "NaN" in printed[1]
+    monkeypatch.setattr(
+        pollwait.cli, "_json_text", lambda value: json.dumps(value, indent=2)
+    )
+    assert run(capsys, *argv) == printed
 
 
 def test_demo_spec_round_trip(capsys, tmp_path):
@@ -1039,8 +1123,8 @@ def test_testbed_rejects_settings_before_creating_nested_out(capsys, tmp_path):
 def test_testbed_over_budget_exits_before_any_simulation(
     capsys, tmp_path, monkeypatch
 ):
-    # Every case is checked against its budget before any runs; --out is
-    # created by then and left empty.
+    # Every case is checked against its budget before any runs, and before
+    # --out is created.
     def no_simulation(*args):
         raise AssertionError("a case ran")
 
@@ -1054,7 +1138,7 @@ def test_testbed_over_budget_exits_before_any_simulation(
     assert (code, out) == (3, "")
     assert err.startswith("error: cases[0]: run expects about ")
     assert err.count("\n") == 1
-    assert out_dir.is_dir() and not any(out_dir.iterdir())
+    assert not out_dir.exists()
 
 
 def test_testbed_sampled_run(capsys, tmp_path):
@@ -1094,24 +1178,22 @@ def test_testbed_sampled_run(capsys, tmp_path):
     ],
 )
 def test_testbed_subset_runs_that_bed(capsys, tmp_path, monkeypatch, subset, bed):
-    # Each call is recorded and then made with no cases, so no case runs;
-    # the first call is the check of the settings.  The wrapper keeps the
-    # signature the parser reads its defaults from.
+    # Each preparation is recorded and then made with no cases, so no case
+    # runs.
     calls = []
-    real = pollwait.cli.run_comparison
+    real = pollwait.cli._prepare_comparison
 
-    @functools.wraps(real)
     def record(cases, *args, **kwargs):
         calls.append(list(cases))
         return real([], *args, **kwargs)
 
-    monkeypatch.setattr(pollwait.cli, "run_comparison", record)
+    monkeypatch.setattr(pollwait.cli, "_prepare_comparison", record)
     code, _, _ = run(
         capsys, "testbed", "--discipline", "gated", "--subset", subset,
         "--out", str(tmp_path / "bed"), "--jobs", "1",
     )
     assert code == 0
-    assert calls == [[], bed()]
+    assert calls == [bed()]
 
 
 def test_sweep_rows_equal_direct_estimates(capsys, tmp_path):

@@ -13,7 +13,8 @@ a spec file rejects is rejected by the constructor of its field too, and
 every coerced field stores exactly what its coercion returns, whether or
 not the constructor keeps the value as given.
 A queue takes an scv exactly when a law can be fitted to it, so every
-valid system can be simulated.
+valid system can be simulated.  The command line's JSON writer prints
+what ``json.dumps(value, indent=2)`` prints.
 
 Examples are drawn deterministically (``derandomize=True``), so the suite
 runs the same cases every time.
@@ -30,7 +31,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pollwait import (
@@ -56,6 +57,7 @@ from pollwait.cli import (
     _QUEUE_KEYS,
     _QUEUE_REQUIRED,
     _TOP_LEVEL_KEYS,
+    _json_text,
     load_spec_file,
     main,
 )
@@ -504,3 +506,35 @@ def test_a_valid_case_materializes_or_is_invalid_input(case, discipline):
         assert str(exc).split(" ", 1)[0] in _CASE_FIELDS, str(exc)
     else:
         assert spec.n == case.n_queues
+
+
+# Scalars that json writes in every form it has: escaped, non-ASCII and
+# control characters, big ints, and the floats with special spellings.
+_JSON_SCALARS = (
+    st.text()
+    | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é€😀", "\u2028"])
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, -1e16, 1e-7]
+    )
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=30,
+)
+
+
+@PROPERTY_SETTINGS
+@given(_JSON_VALUES)
+@example({"": [], "()": (), "{}": {}, "nan": [math.nan, -math.inf, (-0.0,)]})
+def test_json_text_prints_what_the_indent_encoder_prints(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
