@@ -57,8 +57,6 @@ from .model import (
 from .sim import SimConfig, _check_budget, simulate
 from .testbed import (
     _methods,
-    _prepare_comparison,
-    _run_prepared,
     high_variation_poisson_bed,
     poisson_bed,
     run_comparison,
@@ -433,20 +431,21 @@ _SUBSETS = {
 
 
 def _cmd_testbed(args) -> int:
-    # Check the settings and prepare every case, its event budget included,
-    # then reject an unusable output directory, before creating anything
-    # or burning simulation time.
-    methods = _parse_methods(args.methods)
-    prepared = _prepare_comparison(
-        _SUBSETS[args.subset](), methods, args.discipline, None,
+    # --out must not be empty, and its nearest existing path must take a
+    # file (the probe leaves none).  Only write_report_files creates --out,
+    # so a run that fails, before or during simulation, leaves none.
+    if not args.out:
+        raise FileNotFoundError("--out names no directory")
+    probe_dir = args.out
+    while not os.path.lexists(probe_dir):
+        probe_dir = os.path.dirname(probe_dir) or "."
+    with tempfile.NamedTemporaryFile(dir=probe_dir, prefix=".probe"):
+        pass
+    report = run_comparison(
+        _SUBSETS[args.subset](), _parse_methods(args.methods), args.discipline,
         base_seed=args.seed, jobs=args.jobs,
         target_customers=args.target_samples, replications=args.reps,
     )
-    os.makedirs(args.out, exist_ok=True)
-    with tempfile.NamedTemporaryFile(dir=args.out, prefix=".probe"):
-        pass
-
-    report = _run_prepared(*prepared)
     written = write_report_files(report, args.out)
     for line in summary_lines(report):
         print(line)
@@ -465,11 +464,13 @@ _COMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # No parser takes a prefix of a flag for the flag.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="pollwait",
         description="Waiting-time analysis of cyclic polling systems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
     # The run flags of simulate default to SimConfig's, and those of testbed
     # to run_comparison's; sweep's simulation flags have shorter defaults.
     defaults = SimConfig()

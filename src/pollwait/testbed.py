@@ -438,20 +438,6 @@ def run_comparison(
     -------
     ErrorReport
     """
-    prepared = _prepare_comparison(
-        cases, methods, discipline, cfg, base_seed=base_seed, jobs=jobs,
-        target_customers=target_customers, replications=replications,
-    )
-    return _run_prepared(*prepared)
-
-
-def _prepare_comparison(
-    cases, methods, discipline, cfg, *, base_seed, jobs, target_customers,
-    replications,
-):
-    # run_comparison's first step: every check, and every case built,
-    # sized, seeded and checked against its budget.  Returns the arguments
-    # of _run_prepared, its second step.
     discipline = _choice(Discipline, discipline, "discipline")
     methods = _methods(methods)
     replications = _integer(replications, "replications")
@@ -474,11 +460,6 @@ def _prepare_comparison(
         seed = _case_seed(base_seed, index)
         _check_budget(spec, size, f"cases[{index}]: ")
         runs.append((index, case, spec, dataclasses.replace(size, base_seed=seed)))
-    return runs, methods, discipline, jobs
-
-
-def _run_prepared(runs, methods, discipline, jobs) -> ErrorReport:
-    # run_comparison's second step: simulate and score the prepared runs.
     run_case = functools.partial(_run_case, methods)
     if jobs == 1 or len(runs) <= 1:
         chunks = [run_case(run) for run in runs]

@@ -2,8 +2,9 @@
 of a fitted law, the density at zero the model takes for an interarrival
 scv, the mean error of a filtered set of test-bed records, the systems of the
 command line's presets, the v1 document of a system, a reference
-derivation of a system's moment aggregates, and the test-bed cases on which
-the interpolation is exact."""
+derivation of a system's moment aggregates and of a mean wait's zero-load
+value and slope, and the test-bed cases on which the interpolation is
+exact."""
 
 from __future__ import annotations
 
@@ -179,6 +180,38 @@ def reference_moments(spec: SystemSpec) -> DerivedMoments:
         heavy_traffic_variance=ht_variance,
         density_at_zero=tuple(density(q) for q in queues),
     )
+
+
+def reference_value_and_slope(
+    spec: SystemSpec, queue: int, density: tuple[float, ...]
+) -> tuple[float, float]:
+    """Zero-load value and per-load slope of queue `queue`'s mean wait,
+    written directly from the expansion around zero load: the slope uses
+    the suffix double sum over switch-over variances, independently of the
+    package's cyclic-prefix evaluation."""
+    n = spec.n
+    qs = spec.queues
+    fracs = [q.load_fraction for q in qs]
+    es_total = sum(q.mean_switchover for q in qs)
+    vs = [q.scv_switchover * q.mean_switchover**2 for q in qs]
+    es_res = (sum(vs) + es_total**2) / (2.0 * es_total)
+    eb_res = [(1.0 + q.scv_service) * q.mean_service / 2.0 for q in qs]
+    rates = [1.0 / q.mean_interarrival_at_saturation for q in qs]
+    eb_res_global = sum(
+        r * (1.0 + q.scv_service) * q.mean_service**2 for r, q in zip(rates, qs)
+    ) / (2.0 * sum(r * q.mean_service for r, q in zip(rates, qs)))
+
+    slope = (
+        fracs[queue] * (density[queue] - 1.0) * eb_res[queue]
+        + eb_res_global
+        + (1.0 - fracs[queue]) * (es_total - es_res)
+    )
+    for k in range(queue + 1, queue + n):
+        inner = sum(vs[j % n] for j in range(queue, k))
+        slope += fracs[k % n] * inner / es_total
+    if spec.discipline is Discipline.GATED:
+        slope += fracs[queue] * es_total
+    return es_res, slope
 
 
 def interpolation_error(spec: SystemSpec, exact: tuple[float, ...]) -> float:

@@ -40,6 +40,7 @@ from _helpers import (
     model_density,
     preset_spec,
     realized_moments,
+    reference_value_and_slope,
 )
 
 EXH = Discipline.EXHAUSTIVE
@@ -88,35 +89,6 @@ def random_system(rng, discipline, poisson=False):
         discipline=discipline,
         rho=float(rng.uniform(0.05, 0.95)),
     )
-
-
-def reference_value_and_slope(spec, queue, density):
-    """Zero-load value and per-load slope of the mean wait, assembled
-    independently of the package's cyclic-prefix evaluation: the slope uses
-    the suffix double sum over switch-over variances."""
-    n = spec.n
-    qs = spec.queues
-    fracs = [q.load_fraction for q in qs]
-    es_total = sum(q.mean_switchover for q in qs)
-    vs = [q.scv_switchover * q.mean_switchover**2 for q in qs]
-    es_res = (sum(vs) + es_total**2) / (2.0 * es_total)
-    eb_res = [(1.0 + q.scv_service) * q.mean_service / 2.0 for q in qs]
-    rates = [1.0 / q.mean_interarrival_at_saturation for q in qs]
-    eb_res_global = sum(
-        r * (1.0 + q.scv_service) * q.mean_service**2 for r, q in zip(rates, qs)
-    ) / (2.0 * sum(r * q.mean_service for r, q in zip(rates, qs)))
-
-    slope = (
-        fracs[queue] * (density[queue] - 1.0) * eb_res[queue]
-        + eb_res_global
-        + (1.0 - fracs[queue]) * (es_total - es_res)
-    )
-    for k in range(queue + 1, queue + n):
-        inner = sum(vs[j % n] for j in range(queue, k))
-        slope += fracs[k % n] * inner / es_total
-    if spec.discipline is GAT:
-        slope += fracs[queue] * es_total
-    return es_res, slope
 
 
 def test_criterion_1_structural_identities():

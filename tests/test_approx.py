@@ -32,6 +32,8 @@ from pollwait import (
 )
 from pollwait.cli import main
 
+from _helpers import reference_value_and_slope
+
 EXH = Discipline.EXHAUSTIVE
 GAT = Discipline.GATED
 INTERP = Method.INTERPOLATION
@@ -96,38 +98,6 @@ def random_system(rng, discipline, poisson=False, n=None):
     )
 
 
-def reference_lt_value_and_slope(spec, queue, density):
-    """Light-traffic value and per-load slope, assembled the long way.
-
-    Written directly from the expansion around zero load with its suffix
-    double sum over switch-over variances, as an independent counterpart to
-    the cyclic-prefix form used by the package.
-    """
-    n = spec.n
-    qs = spec.queues
-    fracs = [q.load_fraction for q in qs]
-    es_total = sum(q.mean_switchover for q in qs)
-    vs = [q.scv_switchover * q.mean_switchover**2 for q in qs]
-    es_res = (sum(vs) + es_total**2) / (2.0 * es_total)
-    eb_res = [(1.0 + q.scv_service) * q.mean_service / 2.0 for q in qs]
-    rates = [1.0 / q.mean_interarrival_at_saturation for q in qs]
-    eb_res_global = sum(
-        r * (1.0 + q.scv_service) * q.mean_service**2 for r, q in zip(rates, qs)
-    ) / (2.0 * sum(r * q.mean_service for r, q in zip(rates, qs)))
-
-    slope = (
-        fracs[queue] * (density[queue] - 1.0) * eb_res[queue]
-        + eb_res_global
-        + (1.0 - fracs[queue]) * (es_total - es_res)
-    )
-    for k in range(queue + 1, queue + n):
-        inner = sum(vs[j % n] for j in range(queue, k))
-        slope += fracs[k % n] * inner / es_total
-    if spec.discipline is GAT:
-        slope += fracs[queue] * es_total
-    return es_res, slope
-
-
 def test_constants_match_exact_rationals():
     for disc in (EXH, GAT):
         constants = mean_wait(three_queue_mixed(disc), INTERP).constants
@@ -166,7 +136,7 @@ def test_zero_load_value_and_slope_match_reference():
             constants = mean_wait(spec, INTERP).constants
             for i in range(spec.n):
                 c = constants[i]
-                value, slope = reference_lt_value_and_slope(
+                value, slope = reference_value_and_slope(
                     spec, i, dm.density_at_zero
                 )
                 assert math.isclose(c.k0, value, rel_tol=1e-12)

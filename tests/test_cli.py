@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -17,6 +18,7 @@ from pollwait import (
     Discipline,
     InvalidInput,
     Method,
+    NumericalBudget,
     SimConfig,
     mean_wait,
     run_comparison,
@@ -83,6 +85,8 @@ _ARGVS = [
     ["--", "analyze", "--preset", "three-queue"],
     ["sweep", "--preset", "three-queue"],
     ["sweep", "--preset", "three-queue", "--rho-grid", "0:0.2:0.1", "--rho", "0.5"],
+    ["analyze", "--pre", "three-queue", "--me", "ht-only"],
+    ["sweep", "--preset", "three-queue", "--rho-grid", "0:0.2:0.1", "--rho", "0.3:0.4:0.1"],
     ["testbed"],
     ["testbed", "--discipline", "exhaustive", "--out", "x", "--subset", "bogus"],
     ["demo-spec", "analyze"],
@@ -835,7 +839,8 @@ def test_preset_is_the_demo_spec_file(capsys, tmp_path, preset, overrides):
         )
         from_file = _outcome(capsys, [command, str(path), *flags, *overrides])
         assert from_preset == from_file
-        # sweep takes no --rho: a usage error either way.
+        # sweep takes no --rho, and no parser reads a prefix as a flag, so
+        # --rho is not --rho-grid: a usage error either way.
         usage_error = command == "sweep" and "--rho" in overrides
         assert from_file[0] == (2 if usage_error else 0)
 
@@ -1141,6 +1146,57 @@ def test_testbed_over_budget_exits_before_any_simulation(
     assert not out_dir.exists()
 
 
+def test_testbed_failed_run_leaves_no_out(capsys, tmp_path, monkeypatch):
+    # --out is created only when the report is written.
+    def over_budget(*args):
+        raise NumericalBudget("the first case ran over")
+
+    monkeypatch.setattr(pollwait.testbed, "_run_case", over_budget)
+    out_dir = tmp_path / "bed"
+    code, out, err = run(
+        capsys, "testbed", "--discipline", "exhaustive", "--jobs", "1",
+        "--out", str(out_dir),
+    )
+    assert (code, out, err) == (3, "", "error: the first case ran over\n")
+    assert not out_dir.exists()
+
+
+def test_testbed_rejects_an_empty_out_before_any_case(
+    capsys, tmp_path, monkeypatch
+):
+    def no_simulation(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(pollwait.testbed, "_run_case", no_simulation)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "testbed", "--discipline", "exhaustive", "--jobs", "1",
+        "--out", "",
+    )
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1 and err.startswith("error:") and "--out" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_testbed_creates_a_missing_nested_out(capsys, tmp_path, monkeypatch):
+    # The comparison runs with no cases; writing its report creates --out.
+    real = pollwait.cli.run_comparison
+
+    @functools.wraps(real)  # the parser reads its defaults
+    def no_cases(cases, *args, **kwargs):
+        return real([], *args, **kwargs)
+
+    monkeypatch.setattr(pollwait.cli, "run_comparison", no_cases)
+    out_dir = tmp_path / "a" / "b" / "c"
+    code, out, _ = run(
+        capsys, "testbed", "--discipline", "gated", "--jobs", "1",
+        "--out", str(out_dir),
+    )
+    assert code == 0
+    assert f"files to {out_dir}" in out
+    assert "raw_records.csv" in {p.name for p in out_dir.iterdir()}
+
+
 def test_testbed_sampled_run(capsys, tmp_path):
     out_dir = tmp_path / "bed"
     code, out, _ = run(
@@ -1178,16 +1234,17 @@ def test_testbed_sampled_run(capsys, tmp_path):
     ],
 )
 def test_testbed_subset_runs_that_bed(capsys, tmp_path, monkeypatch, subset, bed):
-    # Each preparation is recorded and then made with no cases, so no case
+    # Each comparison is recorded and then run with no cases, so no case
     # runs.
     calls = []
-    real = pollwait.cli._prepare_comparison
+    real = pollwait.cli.run_comparison
 
+    @functools.wraps(real)  # the parser reads its defaults
     def record(cases, *args, **kwargs):
         calls.append(list(cases))
         return real([], *args, **kwargs)
 
-    monkeypatch.setattr(pollwait.cli, "_prepare_comparison", record)
+    monkeypatch.setattr(pollwait.cli, "run_comparison", record)
     code, _, _ = run(
         capsys, "testbed", "--discipline", "gated", "--subset", subset,
         "--out", str(tmp_path / "bed"), "--jobs", "1",
